@@ -37,13 +37,14 @@
 // and a restarted daemon recovers the ledgers — holders, digests,
 // request-ID counters — before serving. -fsync picks the flush policy:
 // "epoch" fsyncs every WAL record before its grants are acknowledged,
-// "group" delivers grants only after a shared fsync round covering their
-// records (one fsync pass absorbs every shard's records, so concurrent
-// shards split the cost instead of paying one each), "off" leaves flushing
-// to the OS, and a duration ("100ms") fsyncs on that interval. Clients
-// that held names before a crash re-attach them with the reclaim op and
-// release them normally. A SIGTERM drain writes a final checkpoint, so a
-// clean restart recovers from a snapshot instead of a log replay.
+// "group" delivers a shard's grants only after a flush covering their
+// records (one fsync absorbs every epoch the shard closed while the
+// previous one was on the disk, and the shards' flushes overlap), "off"
+// leaves flushing to the OS, and a duration ("100ms") fsyncs on that
+// interval. Clients that held names before a crash re-attach them with the
+// reclaim op and release them normally. A SIGTERM drain writes a final
+// checkpoint, so a clean restart recovers from a snapshot instead of a log
+// replay.
 //
 // -replicate turns the daemon into one member of a fault-tolerant cluster
 // (see internal/namesvc/repl): -peers lists every member's replication and
@@ -305,7 +306,7 @@ func build(cfg *config) (*namesvc.Server, *namesvc.Service, *repl.Node, error) {
 		// grants only after a quorum holds the records behind them.
 		scfg.Gate = node
 	case cfg.fsyncMode == namesvc.FsyncGroup && cfg.dataDir != "":
-		// Standalone group commit: grants wait for a shared fsync round.
+		// Standalone group commit: a shard's grants wait for its WAL flush.
 		scfg.Gate = namesvc.GroupGate(svc)
 	}
 	if !cfg.quiet {

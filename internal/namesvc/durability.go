@@ -47,12 +47,14 @@ const (
 	// an unbounded suffix — still prefix-consistent.
 	FsyncOff
 	// FsyncGroup is group commit: appends do not sync, and a grant is
-	// delivered only after a sync *round* (Service.SyncGroup) covering it
-	// completes. One fsync pass over all shards absorbs every record the
-	// round's waiters produced, so concurrent shards share fsyncs instead
-	// of paying one each — per-epoch safety at a fraction of the cost.
-	// Requires a delivery gate that calls SyncGroup (Server does this when
-	// ServerConfig.Gate is GroupGate or a replication node).
+	// delivered only after a flush covering its record completes
+	// (Service.SyncShard for one shard, Service.SyncGroup for all). One
+	// fsync absorbs every record its shard appended before it began, so
+	// the epochs closed while the previous flush was in flight share the
+	// next one, and different shards' flushes overlap — per-epoch safety at
+	// a fraction of the cost. Requires a delivery gate that waits on it
+	// (Server does when ServerConfig.Gate is GroupGate or a replication
+	// node).
 	FsyncGroup
 )
 
@@ -113,7 +115,8 @@ func (d *Durability) normalized(shards int) (*Durability, error) {
 	return &nd, nil
 }
 
-// shardWAL is one shard's durability state, guarded by the shard lock.
+// shardWAL is one shard's durability state, guarded by the shard lock —
+// except store.Sync, which flushes run without it (see syncShard).
 type shardWAL struct {
 	store     *durable.Store
 	w         wire.Writer // record/snapshot encode scratch
@@ -448,69 +451,97 @@ func tornNote(torn bool) string {
 	return ""
 }
 
-// SyncWAL fsyncs every shard's WAL segment — the FsyncInterval tick, also
-// usable by embedders with their own durability clock. It returns the
-// first failure (which degrades that shard, see the failure policy above).
-func (s *Service) SyncWAL() error {
-	var first error
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		if sh.dur != nil && sh.dur.err == nil {
-			if err := sh.dur.store.Sync(); err != nil {
-				sh.dur.fail(i, err)
-				if first == nil {
-					first = err
-				}
-			}
-		}
-		sh.mu.Unlock()
-	}
-	return first
-}
-
-// groupSyncer coordinates FsyncGroup rounds: every waiter arriving while
-// a round is in flight is absorbed into the next one, so an fsync pass
-// over the shards is shared by all concurrently-closing epochs.
-type groupSyncer struct {
-	mu      sync.Mutex
-	cond    sync.Cond
-	started uint64 // sync rounds started
-	done    uint64 // sync rounds completed
-	syncing bool
-}
-
-// SyncGroup blocks until a sync round that started after the call covers
-// every WAL record appended before it. In any mode other than FsyncGroup
-// it is a no-op. Sync failures degrade the affected shard (fail-open, see
-// the failure policy above) and are returned for observability.
-func (s *Service) SyncGroup() error {
-	g := s.group
-	if g == nil {
+// syncShard is the one flush routine behind every fsync policy that syncs
+// after the fact — group-commit waits and the FsyncInterval tick alike. It
+// makes every record the shard appended before the call durable: the shard
+// lock is held only to see that the shard still logs, and the fsync itself
+// runs outside it (durable.Store.Sync), so the shard keeps taking acquires,
+// releases and epoch closes — and appending the records the *next* flush
+// will cover — while this one is on the disk. A clean segment costs no
+// fsync. A genuine fsync failure degrades the shard (fail-open, see the
+// failure policy above) and is returned.
+func (s *Service) syncShard(shardIdx int) error {
+	sh := s.shards[shardIdx]
+	sh.mu.Lock()
+	d := sh.dur
+	logging := d != nil && d.err == nil
+	sh.mu.Unlock()
+	if !logging {
 		return nil
 	}
-	var first error
-	g.mu.Lock()
-	need := g.started + 1
-	for g.done < need {
-		if g.syncing {
-			g.cond.Wait()
-			continue
-		}
-		g.syncing = true
-		g.started++
-		round := g.started
-		g.mu.Unlock()
-		err := s.SyncWAL()
-		g.mu.Lock()
-		if err != nil && first == nil {
-			first = err
-		}
-		g.done = round
-		g.syncing = false
-		g.cond.Broadcast()
+	err := d.store.Sync()
+	if err != nil {
+		sh.mu.Lock()
+		d.fail(shardIdx, err)
+		sh.mu.Unlock()
 	}
-	g.mu.Unlock()
-	return first
+	return err
+}
+
+// SyncWAL makes every record appended so far, on every shard, durable — the
+// FsyncInterval tick and the follower's apply→sync→acknowledge step, also
+// usable by embedders with their own durability clock. Shards with nothing
+// new are skipped; the rest flush concurrently, each on its own sink (see
+// syncShard), so the pass costs one flush time, not one per shard. The
+// caller flushes one of them itself: with every core's worth of threads
+// parked in fsyncs, being woken by a helper goroutine costs a scheduling
+// round the follower's acknowledgement would wait out (measured: more than
+// half of repl3-closed's throughput). It returns the lowest-numbered
+// failing shard's error.
+func (s *Service) SyncWAL() error {
+	var dirty []int
+	for i, sh := range s.shards {
+		// sh.dur is fixed once Open returns; the store's counters are atomic.
+		if d := sh.dur; d != nil && d.store.Seq() > d.store.Synced() {
+			dirty = append(dirty, i)
+		}
+	}
+	if len(dirty) == 0 {
+		return nil
+	}
+	errs := make([]error, len(dirty))
+	var wg sync.WaitGroup
+	for k, i := range dirty[1:] {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[k+1] = s.syncShard(i)
+		}()
+	}
+	errs[0] = s.syncShard(dirty[0])
+	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// SyncGroup blocks until every WAL record appended before the call, on any
+// shard, is durable. In any mode other than FsyncGroup it is a no-op. Sync
+// failures degrade the affected shard (fail-open, see the failure policy
+// above) and are returned for observability.
+func (s *Service) SyncGroup() error {
+	if !s.groupCommit {
+		return nil
+	}
+	return s.SyncWAL()
+}
+
+// SyncShard is SyncGroup for one shard: it blocks until every WAL record
+// that shard appended before the call is durable — at once when a flush
+// has already covered them, after the flush in flight when that one
+// captured them, otherwise after one more. Delivery gates wait on it per
+// shard, so a shard's grants never wait for another shard's disk.
+func (s *Service) SyncShard(shardIdx int) error {
+	if !s.groupCommit {
+		return nil
+	}
+	if shardIdx < 0 || shardIdx >= len(s.shards) {
+		return fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)
+	}
+	return s.syncShard(shardIdx)
 }
 
 // walSyncLoop drives FsyncInterval until Close.

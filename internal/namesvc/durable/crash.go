@@ -1,5 +1,7 @@
 package durable
 
+import "sync"
+
 // CrashBudget deterministically kills a run of sink writes at an exact
 // offset, simulating power loss with torn writes: the machine persists a
 // fixed number of "units" — one unit per byte appended to any file, one
@@ -14,8 +16,14 @@ package durable
 //
 // Units consumed are counted even when the budget is unlimited, so a test
 // can measure a full run once and then iterate crash points 0..Units().
+//
+// A budget is safe for concurrent use: the sinks it wraps belong to
+// different shards, and on each of them a Sync may overlap a Write (see
+// File), so used and crashed are read and written under mu.
 type CrashBudget struct {
-	limit   int64 // < 0 = unlimited
+	limit int64 // < 0 = unlimited
+
+	mu      sync.Mutex
 	used    int64
 	crashed bool
 }
@@ -27,14 +35,24 @@ func NewCrashBudget(limit int64) *CrashBudget {
 }
 
 // Units returns the units consumed so far.
-func (b *CrashBudget) Units() int64 { return b.used }
+func (b *CrashBudget) Units() int64 {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.used
+}
 
 // Crashed reports whether the budget has been exhausted.
-func (b *CrashBudget) Crashed() bool { return b.crashed }
+func (b *CrashBudget) Crashed() bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	return b.crashed
+}
 
 // take consumes up to n units and returns how many were granted; granting
 // fewer than n (including zero) marks the budget crashed.
 func (b *CrashBudget) take(n int) int {
+	b.mu.Lock()
+	defer b.mu.Unlock()
 	if b.crashed {
 		return 0
 	}
@@ -81,7 +99,7 @@ func (s *crashSink) Remove(name string) error {
 }
 
 func (s *crashSink) Sync() error {
-	if s.b.crashed {
+	if s.b.Crashed() {
 		return ErrCrashed
 	}
 	return s.inner.Sync()
@@ -108,7 +126,7 @@ func (f *crashFile) Write(p []byte) (int, error) {
 }
 
 func (f *crashFile) Sync() error {
-	if f.b.crashed {
+	if f.b.Crashed() {
 		return ErrCrashed
 	}
 	return f.inner.Sync()

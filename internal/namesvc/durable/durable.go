@@ -46,6 +46,15 @@ var ErrCrashed = errors.New("durable: injected crash")
 var ErrCorrupt = errors.New("durable: corrupt log")
 
 // File is one append-only file under a Sink.
+//
+// Concurrency: Writes are serialized by the Store's owner, and the Store
+// serializes every Sync on one sink — File.Sync and Sink.Sync alike — under
+// its flush mutex, so an implementation never sees two Writes or two Syncs
+// at once. A Sync may, however, run concurrently with a Write on the same
+// File, as *os.File allows: a group-commit fsync runs outside the owner's
+// lock while the owner keeps appending. Such a Sync covers every Write that
+// returned before it began; whether it covers the overlapping one is
+// unspecified (the Store does not rely on it).
 type File interface {
 	// Write appends p. A short write with a nil error never happens; on
 	// error the prefix that reports written may or may not be durable.
@@ -57,8 +66,9 @@ type File interface {
 }
 
 // Sink is a flat directory of files: the storage boundary beneath a Store.
-// Implementations need not be safe for concurrent use; each shard's Store
-// owns its sink exclusively.
+// Each shard's Store owns its sink exclusively and calls its methods one
+// at a time; the only concurrency an implementation must allow is the
+// File-level Sync-during-Write described on File.
 type Sink interface {
 	// Create creates (or truncates) a file open for appending.
 	Create(name string) (File, error)

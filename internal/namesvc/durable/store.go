@@ -6,6 +6,8 @@ import (
 	"sort"
 	"strconv"
 	"strings"
+	"sync"
+	"sync/atomic"
 )
 
 // File layout under one Sink (one shard):
@@ -23,8 +25,9 @@ import (
 // Options parameterizes a Store.
 type Options struct {
 	// SyncEachAppend fsyncs the segment after every appended record — the
-	// per-epoch fsync policy. Off, the caller either syncs on an interval
-	// (Store.Sync) or accepts the OS flush cadence.
+	// per-epoch fsync policy. Off, the caller syncs on its own schedule
+	// (Store.Sync: an interval tick, a group-commit waiter) or accepts the
+	// OS flush cadence.
 	SyncEachAppend bool
 	// MaxPayload bounds one record or snapshot payload; larger appends are
 	// rejected and larger length prefixes found during recovery are
@@ -64,15 +67,40 @@ type Recovered struct {
 }
 
 // Store is one shard's write-ahead log and snapshot chain over a Sink.
-// It is not safe for concurrent use; the owning shard serializes access.
+//
+// Append, Checkpoint and Close are not safe for concurrent use; the owning
+// shard serializes them under its lock. Sync is the exception: any
+// goroutine may call it at any time, without the owner's lock, so an fsync
+// never stalls the shard's appends. Lock order: owner's lock → flushMu,
+// and nothing that holds flushMu waits for the owner's lock.
 type Store struct {
 	sink Sink
 	opts Options
-	seq  uint64 // last appended (or recovered) record sequence
-	seg  File   // current WAL segment
-	buf  []byte // framing scratch, reused per append
-	err  error  // sticky: after any write failure the stream position is untrusted
+	seq  atomic.Uint64 // last appended (or recovered) record; advanced by the owner
+	buf  []byte        // framing scratch, reused per append
+	err  error         // sticky: after any write failure the stream position is untrusted
+
+	// flushMu serializes every Sync this store issues — segment, snapshot,
+	// directory — so one sink never sees two at once, and it is held across
+	// a whole Checkpoint, so an out-of-lock Sync can neither fsync a
+	// segment that rotation is closing nor run between the snapshot and
+	// the rotation.
+	flushMu sync.Mutex
+	// seg is the current WAL segment. Append reads it under the owner's
+	// lock and Sync under flushMu; Checkpoint and Close, which replace it,
+	// hold both.
+	seg File
+	// synced is the durable watermark: every record up to it is on stable
+	// storage, in a synced segment or under a synced snapshot. Advanced
+	// under flushMu, read anywhere.
+	synced atomic.Uint64
+	// syncErr is the first failed segment fsync, sticky: after it the page
+	// cache may have dropped what the fsync was for, so no later one may
+	// claim those records durable. Guarded by flushMu.
+	syncErr error
 }
+
+var errClosed = errors.New("durable: store closed")
 
 const (
 	segPrefix  = "wal-"
@@ -172,7 +200,9 @@ func Open(sink Sink, opts Options) (*Store, *Recovered, error) {
 	rec.Seq = cur
 	rec.Torn = rec.Torn || torn
 
-	s := &Store{sink: sink, opts: opts, seq: cur}
+	s := &Store{sink: sink, opts: opts}
+	s.seq.Store(cur)
+	s.synced.Store(cur) // what recovery read is as durable as it will get
 	// Open a fresh segment at the recovered sequence. If a file of that
 	// name exists its contents are dead bytes (empty, fully torn, or
 	// superseded — otherwise recovery would have advanced past cur), so
@@ -190,7 +220,11 @@ func Open(sink Sink, opts Options) (*Store, *Recovered, error) {
 }
 
 // Seq returns the sequence number of the last appended record.
-func (s *Store) Seq() uint64 { return s.seq }
+func (s *Store) Seq() uint64 { return s.seq.Load() }
+
+// Synced returns the durable watermark: the highest sequence number known
+// to be on stable storage. Seq() > Synced() means the segment is dirty.
+func (s *Store) Synced() uint64 { return s.synced.Load() }
 
 // Err returns the sticky error, if any: after a failed write the stream
 // position is untrusted and every further mutation fails with it.
@@ -201,36 +235,69 @@ func (s *Store) Err() error { return s.err }
 // assumed lost and the store is poisoned (Err): a torn append leaves bytes
 // the next append must not follow.
 func (s *Store) Append(payload []byte) (uint64, error) {
+	seq := s.seq.Load()
 	if s.err != nil {
-		return s.seq, s.err
+		return seq, s.err
 	}
 	if len(payload) > s.opts.MaxPayload {
-		return s.seq, fmt.Errorf("durable: record payload %d exceeds limit %d", len(payload), s.opts.MaxPayload)
+		return seq, fmt.Errorf("durable: record payload %d exceeds limit %d", len(payload), s.opts.MaxPayload)
 	}
-	s.buf = appendRecord(s.buf[:0], s.seq+1, payload)
+	s.buf = appendRecord(s.buf[:0], seq+1, payload)
 	if _, err := s.seg.Write(s.buf); err != nil {
 		s.err = err
-		return s.seq, err
+		return seq, err
 	}
 	if s.opts.SyncEachAppend {
-		if err := s.seg.Sync(); err != nil {
+		s.flushMu.Lock()
+		err := s.syncSegmentLocked(seq + 1)
+		s.flushMu.Unlock()
+		if err != nil {
 			s.err = err
-			return s.seq, err
+			return seq, err
 		}
 	}
-	s.seq++
-	return s.seq, nil
+	// Published only now: a concurrent Sync that loads the new value is
+	// ordered after the Write above, so the fsync it issues covers it.
+	s.seq.Store(seq + 1)
+	return seq + 1, nil
 }
 
-// Sync fsyncs the current segment — the interval fsync policy's clock tick.
+// Sync makes every record appended before the call durable, and returns as
+// soon as the durable watermark says so: at once when the segment is clean
+// (an idle tick issues no fsync), after the fsync or checkpoint already in
+// flight when that one turns out to cover the caller's records, and
+// otherwise after one fsync of its own — which covers everything appended
+// by the time it starts, so waiters queued behind it share it. It is safe
+// to call from any goroutine, concurrently with Append: the fsync runs
+// without the owner's lock, and on the File it may overlap a Write (see
+// File). A failed fsync is sticky and is returned to every later caller.
 func (s *Store) Sync() error {
-	if s.err != nil {
-		return s.err
+	target := s.seq.Load()
+	if s.synced.Load() >= target {
+		return nil
+	}
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	if s.synced.Load() >= target {
+		return nil
+	}
+	return s.syncSegmentLocked(s.seq.Load())
+}
+
+// syncSegmentLocked fsyncs the current segment and advances the durable
+// watermark to upto, which the caller read before the call; flushMu held.
+func (s *Store) syncSegmentLocked(upto uint64) error {
+	if s.syncErr != nil {
+		return s.syncErr
+	}
+	if s.seg == nil {
+		return errClosed
 	}
 	if err := s.seg.Sync(); err != nil {
-		s.err = err
+		s.syncErr = err
 		return err
 	}
+	s.synced.Store(upto)
 	return nil
 }
 
@@ -240,6 +307,11 @@ func (s *Store) Sync() error {
 // it) before any old artifact is removed, so a crash at any point leaves
 // either the old chain, the new chain, or both — never neither
 // (TestCheckpointNeverRemovesBeforeSnapshotSync pins the ordering).
+//
+// flushMu is held throughout, so a concurrent Sync waits the checkpoint
+// out instead of racing the rotation; once the snapshot and its directory
+// entry are synced the durable watermark covers every record it seals, and
+// that Sync returns without an fsync of its own.
 func (s *Store) Checkpoint(snapshot []byte) error {
 	if s.err != nil {
 		return s.err
@@ -247,10 +319,15 @@ func (s *Store) Checkpoint(snapshot []byte) error {
 	if len(snapshot) > s.opts.MaxPayload {
 		return fmt.Errorf("durable: snapshot payload %d exceeds limit %d", len(snapshot), s.opts.MaxPayload)
 	}
-	seq := s.seq
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
+	seq := s.seq.Load()
 	fail := func(err error) error {
 		s.err = err
 		return err
+	}
+	if s.syncErr != nil {
+		return fail(s.syncErr)
 	}
 	snap, err := s.sink.Create(snapName(seq))
 	if err != nil {
@@ -272,6 +349,7 @@ func (s *Store) Checkpoint(snapshot []byte) error {
 		return fail(fmt.Errorf("durable: sync dir: %w", err))
 	}
 	// The new chain is durable; rotate, then prune the superseded one.
+	s.synced.Store(seq)
 	if err := s.seg.Close(); err != nil {
 		return fail(fmt.Errorf("durable: close segment: %w", err))
 	}
@@ -304,17 +382,16 @@ func (s *Store) Checkpoint(snapshot []byte) error {
 // Close releases the current segment handle without syncing (callers that
 // need durability checkpoint or Sync first).
 func (s *Store) Close() error {
+	s.flushMu.Lock()
+	defer s.flushMu.Unlock()
 	if s.seg == nil {
 		return nil
 	}
 	err := s.seg.Close()
 	s.seg = nil
-	if s.err == nil && err != nil {
-		s.err = errors.New("durable: store closed")
-		return err
-	}
 	if s.err == nil {
-		s.err = errors.New("durable: store closed")
+		s.err = errClosed
+		return err
 	}
 	return nil
 }

@@ -1,0 +1,305 @@
+package namesvc
+
+import (
+	"errors"
+	"fmt"
+	"reflect"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"ballsintoleaves/internal/namesvc/durable"
+)
+
+// spySink counts the fsyncs one shard's sink sees and checks the store's
+// half of the durable.File contract — on one sink, never two Syncs at once —
+// over a MemSink. It can park segment fsyncs on a channel (to show what the
+// service does while one is on the disk) and fail them with a genuine
+// error. Callbacks run on whatever goroutine flushes, so violations are
+// recorded and reported by the test goroutine.
+type spySink struct {
+	durable.Sink
+	segSyncs atomic.Int64 // File.Sync on a WAL segment
+	syncing  atomic.Int32
+	overlap  atomic.Bool
+
+	// parked, when non-nil, receives once per segment fsync as it begins;
+	// the fsync then blocks until resume yields.
+	parked chan struct{}
+	resume chan struct{}
+	// failWith, when set, is returned by every segment fsync from then on.
+	failWith atomic.Pointer[error]
+}
+
+func (s *spySink) enter() func() {
+	if s.syncing.Add(1) != 1 {
+		s.overlap.Store(true)
+	}
+	return func() { s.syncing.Add(-1) }
+}
+
+func (s *spySink) Create(name string) (durable.File, error) {
+	f, err := s.Sink.Create(name)
+	if err != nil {
+		return nil, err
+	}
+	return &spyFile{File: f, sink: s, segment: len(name) > 4 && name[:4] == "wal-"}, nil
+}
+
+func (s *spySink) Sync() error {
+	defer s.enter()()
+	return s.Sink.Sync()
+}
+
+type spyFile struct {
+	durable.File
+	sink    *spySink
+	segment bool
+}
+
+func (f *spyFile) Sync() error {
+	s := f.sink
+	defer s.enter()()
+	if !f.segment {
+		return f.File.Sync()
+	}
+	s.segSyncs.Add(1)
+	if s.parked != nil {
+		s.parked <- struct{}{}
+		<-s.resume
+	}
+	if err := s.failWith.Load(); err != nil {
+		return *err
+	}
+	return f.File.Sync()
+}
+
+// openSpied opens a two-shard durable service over spied MemSinks; passing
+// the spies of an earlier, closed service reopens what it left behind.
+func openSpied(t *testing.T, d Durability, spies ...*spySink) (*Service, []*spySink) {
+	t.Helper()
+	if spies == nil {
+		spies = []*spySink{{Sink: durable.NewMemSink()}, {Sink: durable.NewMemSink()}}
+	}
+	d.Sinks = []durable.Sink{spies[0], spies[1]}
+	d.Logf = t.Logf
+	svc, err := Open(Config{Shards: 2, ShardCap: 64, Seed: 7, Durable: &d})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { svc.Close() })
+	return svc, spies
+}
+
+// clientOnShard returns the n-th client ID (from 1) that routes to shard.
+func clientOnShard(svc *Service, shard, n int) uint64 {
+	for c := uint64(1); ; c++ {
+		if svc.Shard(c) == shard {
+			if n--; n == 0 {
+				return c
+			}
+		}
+	}
+}
+
+// churn appends two WAL records to one shard: an epoch with one grant to
+// the shard's n-th client, then its release.
+func churn(svc *Service, shard, n int) error {
+	client := clientOnShard(svc, shard, n)
+	if _, err := svc.AcquireBatch(shard, []AcquireOp{{Client: client}}, nil); err != nil {
+		return err
+	}
+	grants, err := svc.CloseEpoch(shard)
+	if err != nil || len(grants) != 1 {
+		return fmt.Errorf("shard %d: epoch granted %d, err %v", shard, len(grants), err)
+	}
+	return svc.Release(client, grants[0].Name)
+}
+
+func churnShard(t *testing.T, svc *Service, shard, n int) {
+	t.Helper()
+	if err := churn(svc, shard, n); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestIntervalTickSkipsCleanSegments: the FsyncInterval tick is SyncWAL,
+// and SyncWAL fsyncs only segments with records the last flush did not
+// cover — idle ticks cost nothing, a tick after traffic on one shard costs
+// that shard's fsync and no other.
+func TestIntervalTickSkipsCleanSegments(t *testing.T) {
+	t.Parallel()
+	// The timer itself stays out of the way: the ticks below are explicit.
+	svc, spies := openSpied(t, Durability{Fsync: FsyncInterval, FsyncEvery: time.Hour})
+	tick := func(n int) {
+		t.Helper()
+		for i := 0; i < n; i++ {
+			if err := svc.SyncWAL(); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	tick(10)
+	if a, b := spies[0].segSyncs.Load(), spies[1].segSyncs.Load(); a != 0 || b != 0 {
+		t.Fatalf("10 idle ticks issued %d + %d segment fsyncs, want none", a, b)
+	}
+	churnShard(t, svc, 1, 1)
+	tick(10)
+	if a, b := spies[0].segSyncs.Load(), spies[1].segSyncs.Load(); a != 0 || b != 1 {
+		t.Fatalf("traffic on shard 1 then 10 ticks: %d fsyncs of shard 0, %d of shard 1; want 0 and 1", a, b)
+	}
+	churnShard(t, svc, 0, 1)
+	churnShard(t, svc, 1, 2)
+	tick(1)
+	if a, b := spies[0].segSyncs.Load(), spies[1].segSyncs.Load(); a != 1 || b != 2 {
+		t.Fatalf("traffic on both shards then a tick: %d and %d fsyncs in total, want 1 and 2", a, b)
+	}
+}
+
+// TestFsyncRunsOutsideShardLock: while a shard's segment fsync is parked on
+// the disk, that same shard still takes an acquire batch, closes the epoch
+// and takes the release — and the records those append are not claimed by
+// the flush that was already in flight.
+func TestFsyncRunsOutsideShardLock(t *testing.T) {
+	t.Parallel()
+	svc, spies := openSpied(t, Durability{Fsync: FsyncInterval, FsyncEvery: time.Hour})
+	churnShard(t, svc, 0, 1)
+	spies[0].parked = make(chan struct{})
+	spies[0].resume = make(chan struct{})
+	flushed := make(chan error, 1)
+	go func() { flushed <- svc.SyncWAL() }()
+	<-spies[0].parked // shard 0's fsync is on the disk
+
+	store := svc.shards[0].dur.store
+	captured := store.Seq()
+	worked := make(chan error, 1)
+	go func() { worked <- churn(svc, 0, 2) }()
+	select {
+	case err := <-worked:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		spies[0].resume <- struct{}{} // let the cleanup's Close through
+		t.Fatal("shard 0 stalled behind its own parked fsync: the flush holds the shard lock")
+	}
+	if got := store.Synced(); got >= captured {
+		t.Fatalf("watermark %d before the fsync returned", got)
+	}
+	spies[0].resume <- struct{}{}
+	if err := <-flushed; err != nil {
+		t.Fatal(err)
+	}
+	if got := store.Synced(); got != captured {
+		t.Fatalf("flush that began at record %d published watermark %d (shard is at %d)", captured, got, store.Seq())
+	}
+	if spies[0].overlap.Load() {
+		t.Fatal("two Syncs ran at once on shard 0's sink")
+	}
+}
+
+// TestFlushRacingCheckpoint hammers both shards with group-commit flushes,
+// per shard and all at once, while the shards rotate their WAL underneath:
+// no flush may lose the race in a way that degrades a shard, overlaps
+// another Sync on the same sink, or returns before the caller's records are
+// covered, and what a reopen recovers must be the live state. Then a
+// genuine fsync error on one shard must still degrade that shard, and only
+// it.
+func TestFlushRacingCheckpoint(t *testing.T) {
+	t.Parallel()
+	group := Durability{Fsync: FsyncGroup, SnapshotEvery: 5}
+	svc, spies := openSpied(t, group)
+	const rotations = 4
+	stores := []*durable.Store{svc.shards[0].dur.store, svc.shards[1].dur.store}
+
+	var wg sync.WaitGroup
+	stop := make(chan struct{})
+	// hammer flushes in a loop; each flush must cover what the given stores
+	// had appended when it was called.
+	hammer := func(flush func() error, stores ...*durable.Store) {
+		defer wg.Done()
+		before := make([]uint64, len(stores))
+		for {
+			select {
+			case <-stop:
+				return
+			default:
+			}
+			for i, st := range stores {
+				before[i] = st.Seq()
+			}
+			if err := flush(); err != nil {
+				t.Errorf("flush: %v", err)
+				return
+			}
+			for i, st := range stores {
+				if got := st.Synced(); got < before[i] {
+					t.Errorf("a flush returned at watermark %d; %d records were appended before it began", got, before[i])
+					return
+				}
+			}
+		}
+	}
+	wg.Add(3)
+	go hammer(func() error { return svc.SyncShard(0) }, stores[0])
+	go hammer(func() error { return svc.SyncShard(1) }, stores[1])
+	go hammer(svc.SyncGroup, stores...)
+	for n := 1; svc.Stats().WALSnapshots < 2*rotations; n++ {
+		if n > 1000 {
+			t.Fatal("the shards never checkpointed")
+		}
+		churnShard(t, svc, 0, n)
+		churnShard(t, svc, 1, n)
+	}
+	close(stop)
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	for i, spy := range spies {
+		if spy.overlap.Load() {
+			t.Errorf("two Syncs ran at once on shard %d's sink", i)
+		}
+		if snaps := svc.shards[i].dur.snapshots; snaps < rotations-1 {
+			t.Errorf("shard %d rotated only %d times", i, snaps)
+		}
+	}
+	if st := svc.Stats(); st.WALFailures != 0 {
+		t.Fatalf("%d WAL failures: a flush lost its race with a checkpoint", st.WALFailures)
+	}
+	live := captureAll(svc)
+	if err := svc.Close(); err != nil {
+		t.Fatal(err)
+	}
+	svc, _ = openSpied(t, group, spies...)
+	if got := captureAll(svc); !reflect.DeepEqual(got, live) {
+		t.Fatalf("reopened state diverged from the live one:\n got %+v\nwant %+v", got, live)
+	}
+
+	// A genuine fsync error still degrades exactly the shard it hit.
+	boom := errors.New("EIO")
+	spies[1].failWith.Store(&boom)
+	churnShard(t, svc, 0, 2000)
+	churnShard(t, svc, 1, 2000)
+	if err := svc.SyncGroup(); !errors.Is(err, boom) {
+		t.Fatalf("SyncGroup over a failing disk: %v, want %v", err, boom)
+	}
+	if err := svc.SyncShard(0); err != nil {
+		t.Fatalf("healthy shard 0: %v", err)
+	}
+	if st := svc.Stats(); st.WALFailures != 1 {
+		t.Fatalf("%d WAL failures after one failed fsync, want 1", st.WALFailures)
+	}
+	if err0, err1 := svc.shards[0].dur.err, svc.shards[1].dur.err; err0 != nil || !errors.Is(err1, boom) {
+		t.Fatalf("degraded: shard 0 %v, shard 1 %v; want only shard 1", err0, err1)
+	}
+	// Degraded is sticky and quiet: later flushes skip the shard.
+	churnShard(t, svc, 1, 2001)
+	if err := svc.SyncGroup(); err != nil {
+		t.Fatalf("SyncGroup after the degrade: %v", err)
+	}
+	if st := svc.Stats(); st.WALFailures != 1 {
+		t.Fatalf("%d WAL failures, want the one", st.WALFailures)
+	}
+}

@@ -206,8 +206,8 @@ type Service struct {
 	closeOnce sync.Once
 	closeErr  error
 
-	// group coordinates FsyncGroup sync rounds; nil in other modes.
-	group *groupSyncer
+	// groupCommit is set in FsyncGroup mode: SyncGroup and SyncShard flush.
+	groupCommit bool
 	// onRecord, when non-nil, observes every sealed WAL record as it is
 	// produced (under the shard lock) — the replication tap. Set once via
 	// SetRecordHook before any traffic.
@@ -274,10 +274,7 @@ func Open(cfg Config) (*Service, error) {
 		s.syncDone = make(chan struct{})
 		go s.walSyncLoop(dcfg.FsyncEvery)
 	}
-	if dcfg != nil && dcfg.Fsync == FsyncGroup {
-		s.group = &groupSyncer{}
-		s.group.cond.L = &s.group.mu
-	}
+	s.groupCommit = dcfg != nil && dcfg.Fsync == FsyncGroup
 	return s, nil
 }
 

@@ -314,21 +314,33 @@ func (n *Node) AdmitWrites() (bool, string) {
 }
 
 // WaitCommitted implements namesvc.CommitGate: it blocks until every
-// record the shard has produced is quorum-acknowledged. The leader's own
-// copy is made durable first (a group-fsync round in FsyncGroup mode; a
-// no-op when every append already syncs), so "committed" always means a
-// quorum of durable copies including this one. An error means the node
-// was deposed with the records uncommitted.
+// record the shard had produced when it was called is quorum-acknowledged.
+// The target index is captured once, on entry: the shard's epoch loop keeps
+// producing records while its deliverer waits here, and a wait that chased
+// the shard's *latest* index would never end under steady load. The
+// leader's own copy is made durable first (the shard's group-commit flush
+// in FsyncGroup mode; a no-op when every append already syncs), so
+// "committed" always means a quorum of durable copies including this one.
+// An error means the node was deposed with the records uncommitted.
 func (n *Node) WaitCommitted(shard int) error {
-	n.svc.SyncGroup()
+	n.mu.Lock()
+	l := n.ldr
+	if n.closed || l == nil {
+		n.mu.Unlock()
+		return errDeposed
+	}
+	target := l.lastIdxByShard[shard]
+	n.mu.Unlock()
+	// A record takes its index under the shard lock, after its append, so
+	// a flush that starts now covers every record up to target.
+	n.svc.SyncShard(shard)
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for {
-		l := n.ldr
-		if n.closed || l == nil {
+		if n.closed || n.ldr != l {
 			return errDeposed
 		}
-		if l.lastIdxByShard[shard] <= l.commit {
+		if target <= l.commit {
 			return nil
 		}
 		n.commitCond.Wait()
@@ -642,7 +654,8 @@ func (n *Node) serveVote(p *transport.Peer, body []byte) {
 // acknowledging cumulatively. Applies are coalesced: every frame already
 // buffered on the link is processed before the fsync-and-acknowledge
 // step, so a burst of records (all shards of one epoch tick) costs one
-// group-fsync round and one ack frame, not one per record.
+// flush time — the dirty shards' segments fsync concurrently — and one ack
+// frame, not one of each per record.
 func (n *Node) serveStream(p *transport.Peer, hello []byte) {
 	term, leaderID, err := decodeHello(hello)
 	if err != nil {

@@ -268,6 +268,19 @@ func TestSessionExactlyOnceAcrossFailovers(t *testing.T) {
 			}
 		}
 		startMember(dead, rebind(peers[dead].ReplAddr), rebind(clientAddrs[dead]))
+		// Wait for that resync before the next kill. The "dead" member's
+		// WAL holds what no real kill-9 would have written — the releases
+		// its server's teardown applied after the fence — and until the
+		// leader's snapshot overwrites them they make it look *fresher*
+		// than the survivors: killing the leader first can elect it, and
+		// its never-replicated releases then cost the holder its names.
+		for deadline := time.Now().Add(10 * time.Second); !positionsEqual(
+			svcs[dead].Positions(nil), svcs[leader].Positions(nil)); {
+			if time.Now().After(deadline) {
+				t.Fatalf("round %d: restarted node %d was never resynced by leader %d", round, dead, leader)
+			}
+			time.Sleep(time.Millisecond)
+		}
 	}
 
 	close(stop)

@@ -23,10 +23,13 @@ const connReadBufSize = 64 << 10
 // per-connection bucket scratch and the latency of the first op in a burst.
 const maxIngestBurst = 512
 
-// maxStagedGrants forces a delivery pass mid-drain once this many grants
-// are staged, bounding both the delivery scratch and the latency of a
-// drain's first epoch when a deep backlog lets the drain close many epochs
-// back to back.
+// maxStagedGrants bounds the grants a shard stages ahead of delivery. With
+// delivery inline it forces a delivery pass mid-drain, bounding both the
+// delivery scratch and the latency of a drain's first epoch when a deep
+// backlog lets the drain close many epochs back to back. With a delivery
+// goroutine it is the pipeline's window: the epoch loop stops closing
+// epochs while this many closed-but-uncommitted grants are already staged
+// behind the batch in flight.
 const maxStagedGrants = 4096
 
 // CommitGate couples a Server to an external commit rule — a replication
@@ -73,18 +76,19 @@ type wireReplStats interface {
 	WireReplStats() (term uint64, role Role, reason string, compactFloor uint64)
 }
 
-// groupGate adapts Service.SyncGroup to the CommitGate seam: writes are
-// always admitted, and delivery waits for a group-fsync round. Sync
-// failures degrade the shard fail-open (durability.go), so delivery
-// proceeds even then.
+// groupGate adapts Service.SyncShard to the CommitGate seam: writes are
+// always admitted, and delivery waits for a flush of the shard's own WAL
+// segment. Sync failures degrade the shard fail-open (durability.go), so
+// delivery proceeds even then.
 type groupGate struct{ svc *Service }
 
 func (g groupGate) AdmitWrites() (bool, string)   { return true, "" }
-func (g groupGate) WaitCommitted(shard int) error { g.svc.SyncGroup(); return nil }
+func (g groupGate) WaitCommitted(shard int) error { g.svc.SyncShard(shard); return nil }
 
 // GroupGate returns the ServerConfig.Gate for a standalone server whose
-// service uses FsyncGroup: grants are delivered only after an fsync round
-// covers their records, with concurrent shards sharing each round.
+// service uses FsyncGroup: a shard's grants are delivered only after a
+// flush covers their records, every epoch closed during one flush sharing
+// the next, and different shards' flushes overlapping.
 func GroupGate(svc *Service) CommitGate { return groupGate{svc} }
 
 // ServerConfig parameterizes a Server.
@@ -174,7 +178,9 @@ func (cfg *ServerConfig) normalize() error {
 // staged per destination connection and committed after the epoch — all of
 // one connection's grant frames encoded contiguously and appended to its
 // outbox under a single lock with a single writer wakeup per connection per
-// epoch.
+// epoch. Behind a commit gate the two halves are a pipeline: the epoch loop
+// keeps closing epochs while a per-shard delivery goroutine waits out the
+// commit of the ones before (see shardDelivery).
 type Server struct {
 	cfg     ServerConfig
 	svc     *Service
@@ -235,7 +241,17 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		holders:  make(map[int]*svcConn),
 	}
 	for i := range s.deliver {
-		s.deliver[i].byConn = make(map[*svcConn]int32)
+		d := &s.deliver[i]
+		d.pend, d.fly = newGrantBatch(), newGrantBatch()
+		d.cond.L = &d.mu
+		// Behind a gate, delivery blocks (an fsync, a quorum round trip):
+		// give it its own goroutine so the shard's epochs keep closing.
+		// Without one it is pure CPU and stays inline on the epoch loop.
+		if cfg.Gate != nil && workers > 0 {
+			d.piped = true
+			s.wg.Add(1)
+			go s.deliverLoop(i)
+		}
 	}
 	for w := range s.kicks {
 		s.kicks[w] = make(chan struct{}, 1)
@@ -289,6 +305,13 @@ func (s *Server) Serve(ln net.Listener) error {
 func (s *Server) Close() error {
 	s.once.Do(func() {
 		close(s.stop)
+		for i := range s.deliver {
+			// An epoch loop waiting for room in a full window re-checks stop.
+			d := &s.deliver[i]
+			d.mu.Lock()
+			d.cond.Broadcast()
+			d.mu.Unlock()
+		}
 		s.mu.Lock()
 		conns := s.conns
 		s.conns = nil
@@ -340,16 +363,16 @@ func (s *Server) kick(shard int) {
 // closeManualEpoch closes exactly one epoch on a shard and delivers its
 // grants — the server half of the epoch op. The per-shard manual mutex
 // makes the delivery scratch single-owner exactly as an epoch loop would;
-// the read-loop goroutine that sent the op runs the close synchronously, so
-// by the time its reply is encoded, every grant frame of the epoch is
-// already committed to its destination outbox (FIFO before the reply on
-// the requesting connection).
+// the read-loop goroutine that sent the op runs the close and the delivery
+// (commit wait included) synchronously, so by the time its reply is
+// encoded, every grant frame of the epoch is already committed to its
+// destination outbox (FIFO before the reply on the requesting connection).
 func (s *Server) closeManualEpoch(shard int) (epoch uint64, granted int, err error) {
 	s.manualMu[shard].Lock()
 	defer s.manualMu[shard].Unlock()
 	grants, err := s.svc.CloseEpoch(shard)
 	granted = len(grants)
-	s.deliverEpochs(shard)
+	s.deliverInline(shard)
 	return s.svc.ShardEpoch(shard), granted, err
 }
 
@@ -359,11 +382,12 @@ func (s *Server) closeManualEpoch(shard int) (epoch uint64, granted int, err err
 // no longer grow (BatchFull) instead of waiting the timer out — under
 // bursts the window costs nothing, while trickles still coalesce. It
 // drains — repeated CloseEpoch calls — because requests that queued during
-// an epoch's renaming run form the next batch without another kick. After
-// every CloseEpoch it delivers the staged grants connection by connection
-// (deliverEpoch), outside the shard lock.
+// an epoch's renaming run form the next batch without another kick. The
+// staged grants are delivered connection by connection outside the shard
+// lock — at the end of the drain, or by the shard's delivery goroutine.
 func (s *Server) shardLoop(shard int) {
 	defer s.wg.Done()
+	defer s.stopDelivery(shard)
 	var timer *time.Timer
 	if s.cfg.EpochInterval > 0 {
 		timer = time.NewTimer(s.cfg.EpochInterval)
@@ -407,6 +431,11 @@ func (s *Server) shardLoop(shard int) {
 // scan costs nothing compared to the epochs it batches.
 func (s *Server) epochWorker(w int) {
 	defer s.wg.Done()
+	defer func() {
+		for shard := w; shard < s.svc.Shards(); shard += s.workers {
+			s.stopDelivery(shard)
+		}
+	}()
 	for {
 		select {
 		case <-s.stop:
@@ -420,20 +449,25 @@ func (s *Server) epochWorker(w int) {
 }
 
 // drainShard closes epochs on one shard until nothing more can be
-// assigned, then delivers every staged grant in one pass. Coalescing the
-// delivery across the whole drain — not just one epoch — is safe because
-// the drain is self-limiting: it ends once the shard's queue is empty, and
-// the queue cannot refill off this shard's own grants until they are
-// delivered; it buys one outbox lock and one writer wakeup per connection
-// per drain, no matter how many epochs the drain closed. A deep backlog
-// (many epochs' worth queued up front) is delivered in maxStagedGrants
-// slices instead, so the first epoch's grants never wait on the whole
-// backlog.
+// assigned. With delivery inline (no commit gate) it then delivers every
+// staged grant in one pass. Coalescing the delivery across the whole drain
+// — not just one epoch — is safe because the drain is self-limiting: it
+// ends once the shard's queue is empty, and the queue cannot refill off
+// this shard's own grants until they are delivered; it buys one outbox lock
+// and one writer wakeup per connection per drain, no matter how many epochs
+// the drain closed. A deep backlog (many epochs' worth queued up front) is
+// delivered in maxStagedGrants slices instead, so the first epoch's grants
+// never wait on the whole backlog. Behind a gate the drain only stages:
+// closeStaged hands the grants to the shard's delivery goroutine, which
+// coalesces everything staged during one commit wait into the next.
 func (s *Server) drainShard(shard int) {
-	defer s.deliverEpochs(shard)
+	d := &s.deliver[shard]
+	if !d.piped {
+		defer s.deliverInline(shard)
+	}
 	for {
-		if len(s.deliver[shard].staged) >= maxStagedGrants {
-			s.deliverEpochs(shard)
+		if !d.piped && len(d.pend.staged) >= maxStagedGrants {
+			s.deliverInline(shard)
 		}
 		// Yield once before closing: a kick often races the rest of the
 		// kicker's burst (and other connections' bursts) through
@@ -442,14 +476,14 @@ func (s *Server) drainShard(shard int) {
 		// the next — micro-batching without a timer. Idle systems pay
 		// nanoseconds.
 		runtime.Gosched()
-		grants, err := s.svc.CloseEpoch(shard)
+		granted, err := s.closeStaged(shard)
 		if err != nil {
 			// The batch stays queued; log and wait for the next kick
 			// rather than spinning on a persistent failure.
 			s.cfg.Logf("shard %d: epoch failed: %v", shard, err)
 			return
 		}
-		if len(grants) > 0 {
+		if granted > 0 {
 			continue
 		}
 		// No accepted grants — but an epoch may still have run with
@@ -457,10 +491,48 @@ func (s *Server) drainShard(shard int) {
 		// leaving later arrivals queued with nobody left to kick.
 		// Keep draining while another epoch could assign; stop when
 		// the queue is empty or the namespace is exhausted (a release
-		// will kick us).
-		if !s.svc.EpochRunnable(shard) {
+		// will kick us) — or the server is closing.
+		if !s.svc.EpochRunnable(shard) || s.stopping() {
 			return
 		}
+	}
+}
+
+// closeStaged closes one epoch on a shard, its accepted grants staging into
+// the shard's pend batch (connReq.GrantNotify), and reports how many were
+// accepted. On a piped shard the close runs under the delivery lock, which
+// is what lets the delivery goroutine swap pend away between epochs but
+// never during one; it first waits for room in the window — the pipeline's
+// backpressure, and its natural batching: whatever queues up meanwhile
+// forms one larger epoch — and afterwards wakes the deliverer.
+func (s *Server) closeStaged(shard int) (granted int, err error) {
+	d := &s.deliver[shard]
+	if !d.piped {
+		grants, err := s.svc.CloseEpoch(shard)
+		return len(grants), err
+	}
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for len(d.pend.staged) >= maxStagedGrants {
+		if s.stopping() {
+			return 0, nil
+		}
+		d.cond.Wait()
+	}
+	grants, err := s.svc.CloseEpoch(shard)
+	if len(grants) > 0 {
+		d.cond.Broadcast()
+	}
+	return len(grants), err
+}
+
+// stopping reports whether Close has begun.
+func (s *Server) stopping() bool {
+	select {
+	case <-s.stop:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -472,80 +544,164 @@ type stagedGrant struct {
 	next int32
 }
 
-// grantRun is one connection's chain of staged grants within an epoch.
+// grantRun is one connection's chain of staged grants within a batch.
 type grantRun struct {
 	conn       *svcConn
 	head, tail int32
 }
 
-// shardDelivery is one shard's grant-coalescing scratch, owned by that
-// shard's epoch loop. During CloseEpoch the grant notifies stage accepted
-// grants here (under the shard lock, without touching any connection lock);
-// deliverEpoch then walks the per-connection runs and commits each one —
-// the whole epoch's frames for a connection encoded contiguously, appended
-// to its outbox under one lock, with one writer wakeup. Everything is
-// reused epoch to epoch.
-type shardDelivery struct {
+// grantBatch is a set of accepted grants awaiting delivery, in epoch order,
+// chained per destination connection. Everything is reused batch to batch.
+type grantBatch struct {
 	staged []stagedGrant
 	runs   []grantRun
 	byConn map[*svcConn]int32 // conn -> index into runs
-	w      wire.Writer        // frame-body encode scratch
-	buf    []byte             // contiguous frames for the run being built
-	rel    []Grant            // grants to release (recipient gone mid-flight)
+}
+
+func newGrantBatch() *grantBatch {
+	return &grantBatch{byConn: make(map[*svcConn]int32)}
 }
 
 // stage links one accepted grant onto its connection's run.
-func (d *shardDelivery) stage(r *connReq, g Grant) {
-	idx := int32(len(d.staged))
-	d.staged = append(d.staged, stagedGrant{req: r, g: g, next: -1})
-	if ri, ok := d.byConn[r.c]; ok {
-		d.staged[d.runs[ri].tail].next = idx
-		d.runs[ri].tail = idx
+func (b *grantBatch) stage(r *connReq, g Grant) {
+	idx := int32(len(b.staged))
+	b.staged = append(b.staged, stagedGrant{req: r, g: g, next: -1})
+	if ri, ok := b.byConn[r.c]; ok {
+		b.staged[b.runs[ri].tail].next = idx
+		b.runs[ri].tail = idx
 	} else {
-		d.byConn[r.c] = int32(len(d.runs))
-		d.runs = append(d.runs, grantRun{conn: r.c, head: idx, tail: idx})
+		b.byConn[r.c] = int32(len(b.runs))
+		b.runs = append(b.runs, grantRun{conn: r.c, head: idx, tail: idx})
 	}
 }
 
-// deliverEpochs commits the staged grants of a drain cycle's epochs, one
-// connection at a time: frames are encoded outside any lock, then
-// commitGrants appends them to the connection's outbox and updates its
-// held/outstanding bookkeeping under a single lock with a single
-// cond-signal. Grants whose connection vanished between the in-epoch
-// accept and this commit are released here — the name returns to the pool
-// having never been observable on the wire.
-func (s *Server) deliverEpochs(shard int) {
+func (b *grantBatch) reset() {
+	b.staged = b.staged[:0]
+	b.runs = b.runs[:0]
+	clear(b.byConn)
+}
+
+// shardDelivery is one shard's delivery stage: a double buffer of grant
+// batches, the same pend/fly pattern as a connection's outbox. During
+// CloseEpoch the grant notifies stage accepted grants into pend (under the
+// shard lock, without touching any connection lock); delivery swaps pend
+// with fly, waits for the commit gate once for the whole fly batch, then
+// walks its per-connection runs and commits each one — the batch's frames
+// for a connection encoded contiguously, appended to its outbox under one
+// lock, with one writer wakeup.
+//
+// Without a gate (and for manual epochs) whoever closes the shard's epochs
+// also delivers, inline, and nothing here needs a lock. Behind a gate the
+// shard is piped: the epoch loop stages into pend — epoch N+1, N+2, … —
+// while the shard's delivery goroutine is blocked committing fly, so a
+// commit wait covers every epoch closed during the one before it. mu then
+// guards pend: the epoch loop holds it across each CloseEpoch, the
+// deliverer for the swap. fly and the encode scratch belong to whoever
+// delivers. The window is bounded by maxStagedGrants (closeStaged).
+type shardDelivery struct {
+	piped bool // a delivery goroutine shares pend with the epoch loop
+
+	mu   sync.Mutex
+	cond sync.Cond // pend gained grants, pend was swapped away, or stop
+	stop bool      // the epoch loop has exited; drain pend and exit
+	pend *grantBatch
+
+	fly *grantBatch
+	w   wire.Writer // frame-body encode scratch
+	buf []byte      // contiguous frames for the run being built
+	rel []Grant     // grants to release (recipient gone mid-flight)
+}
+
+// stopDelivery tells a piped shard's delivery goroutine that its epoch loop
+// has exited, so nothing more will be staged.
+func (s *Server) stopDelivery(shard int) {
 	d := &s.deliver[shard]
-	if len(d.staged) == 0 {
+	d.mu.Lock()
+	d.stop = true
+	d.cond.Broadcast()
+	d.mu.Unlock()
+}
+
+// deliverLoop is a piped shard's delivery goroutine: take everything the
+// epoch loop has staged, wait for its commit, deliver it, repeat. At most
+// one commit wait per shard is ever in flight, always from here. It exits
+// once the epoch loop has and pend is drained, so grants staged for
+// connections that died with the server are still released.
+func (s *Server) deliverLoop(shard int) {
+	defer s.wg.Done()
+	d := &s.deliver[shard]
+	for {
+		d.mu.Lock()
+		for len(d.pend.staged) == 0 && !d.stop {
+			d.cond.Wait()
+		}
+		if len(d.pend.staged) == 0 {
+			d.mu.Unlock()
+			return
+		}
+		d.pend, d.fly = d.fly, d.pend
+		d.cond.Broadcast() // room in the window
+		d.mu.Unlock()
+		s.deliverFly(shard)
+	}
+}
+
+// deliverInline delivers what the caller's own epoch closes staged: the
+// inline counterpart of one deliverLoop turn, for shards without a delivery
+// goroutine (no gate, or manual epochs), where the caller owns both
+// batches.
+func (s *Server) deliverInline(shard int) {
+	d := &s.deliver[shard]
+	d.pend, d.fly = d.fly, d.pend
+	s.deliverFly(shard)
+}
+
+// deliverFly commits the shard's fly batch — the staged grants of one or
+// more epochs, in epoch order — one connection at a time: frames are
+// encoded outside any lock, then commitGrants appends them to the
+// connection's outbox and updates its held/outstanding bookkeeping under a
+// single lock with a single cond-signal. Grants whose connection vanished
+// between the in-epoch accept and this commit are released here — the name
+// returns to the pool having never been observable on the wire.
+func (s *Server) deliverFly(shard int) {
+	d := &s.deliver[shard]
+	b := d.fly
+	if len(b.staged) == 0 {
 		return
 	}
 	if g := s.cfg.Gate; g != nil {
 		// The commit rule: nothing reaches a client until the gate says the
-		// shard's records are committed (quorum-acknowledged / fsynced). On
-		// error the node was deposed with these grants in flight — discard
-		// them undelivered. No client ever observed them, so the new
+		// shard's records are committed (quorum-acknowledged / fsynced). One
+		// wait covers the whole batch: its records were all produced before
+		// the call. On error the node was deposed with these grants in
+		// flight — discard them undelivered, and with them whatever later
+		// epochs have staged behind them, whose records can commit no more
+		// than these. No client ever observed any of them, so the new
 		// leader's epochs may re-grant the same names without a duplicate
 		// ever being visible; the local ledger divergence is repaired by
 		// the catch-up resync that follows deposition.
 		if err := g.WaitCommitted(shard); err != nil {
-			s.cfg.Logf("shard %d: discarding %d staged grants: %v", shard, len(d.staged), err)
-			d.staged = d.staged[:0]
-			d.runs = d.runs[:0]
-			clear(d.byConn)
+			d.mu.Lock()
+			n := len(b.staged) + len(d.pend.staged)
+			d.pend.reset()
+			d.cond.Broadcast()
+			d.mu.Unlock()
+			b.reset()
+			s.cfg.Logf("shard %d: discarding %d staged grants: %v", shard, n, err)
 			return
 		}
 	}
 	released := false
-	for i := range d.runs {
-		run := &d.runs[i]
+	for i := range b.runs {
+		run := &b.runs[i]
 		d.buf = d.buf[:0]
-		for j := run.head; j >= 0; j = d.staged[j].next {
-			sg := &d.staged[j]
+		for j := run.head; j >= 0; j = b.staged[j].next {
+			sg := &b.staged[j]
 			d.w.Reset()
 			appendGrant(&d.w, sg.req.tag, sg.g)
 			d.buf = wire.AppendFrame(d.buf, d.w.Bytes())
 		}
-		d.rel = run.conn.commitGrants(d, run.head, d.buf, d.rel[:0])
+		d.rel = run.conn.commitGrants(b, run.head, d.buf, d.rel[:0])
 		for _, g := range d.rel {
 			if err := s.svc.Release(g.Client, g.Name); err != nil {
 				s.cfg.Logf("%v: releasing undeliverable grant of %d: %v",
@@ -555,13 +711,11 @@ func (s *Server) deliverEpochs(shard int) {
 			released = true
 		}
 	}
-	d.staged = d.staged[:0]
-	d.runs = d.runs[:0]
-	clear(d.byConn)
+	b.reset()
 	if released {
 		// The freed capacity may be the only thing standing between queued
-		// acquires and an exhausted shard, and the drain that delivered us
-		// here has already sampled EpochRunnable — re-kick so the epoch
+		// acquires and an exhausted shard, and the drain that staged these
+		// grants has already sampled EpochRunnable — re-kick so the epoch
 		// loop observes the returns (teardown does the same for held
 		// names).
 		s.kick(shard)
@@ -616,7 +770,7 @@ func (r *connReq) GrantNotify(g Grant) bool {
 	if r.c.gone.Load() {
 		return false
 	}
-	r.c.srv.deliver[g.Shard].stage(r, g)
+	r.c.srv.deliver[g.Shard].pend.stage(r, g)
 	return true
 }
 
@@ -672,7 +826,7 @@ func (c *svcConn) enqueue(frames []byte) bool {
 // to rel) the grants that can no longer be delivered — the connection died
 // or overflowed after the in-epoch accept — which the caller must release
 // back to the service.
-func (c *svcConn) commitGrants(d *shardDelivery, head int32, frames []byte, rel []Grant) []Grant {
+func (c *svcConn) commitGrants(b *grantBatch, head int32, frames []byte, rel []Grant) []Grant {
 	s := c.srv
 	s.holdMu.Lock()
 	c.mu.Lock()
@@ -683,13 +837,13 @@ func (c *svcConn) commitGrants(d *shardDelivery, head int32, frames []byte, rel 
 		if tripped {
 			c.conn.Close() // fails the read loop, which runs teardown
 		}
-		for j := head; j >= 0; j = d.staged[j].next {
-			rel = append(rel, d.staged[j].g)
+		for j := head; j >= 0; j = b.staged[j].next {
+			rel = append(rel, b.staged[j].g)
 		}
 		return rel
 	}
-	for j := head; j >= 0; j = d.staged[j].next {
-		sg := &d.staged[j]
+	for j := head; j >= 0; j = b.staged[j].next {
+		sg := &b.staged[j]
 		req := sg.req
 		delete(c.outstanding, req)
 		c.held[sg.g.Name] = sg.g.Client

@@ -3,6 +3,8 @@ package namesvc
 import (
 	"errors"
 	"net"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -543,5 +545,346 @@ func TestServerHandshakeDeadlineShedsStalledConns(t *testing.T) {
 	defer c.Close()
 	if _, err := c.AcquireSync(1); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// stepGate is a channel-driven CommitGate: every WaitCommitted announces
+// itself on entered and then blocks until the test sends its verdict on
+// verdict, so a test decides exactly how long each commit takes and how it
+// ends. It also checks the pipeline's promise to gates: per shard, never
+// two WaitCommitted calls in flight.
+type stepGate struct {
+	entered  chan int   // shard of each WaitCommitted, as it begins
+	verdict  chan error // one receive ends one wait
+	done     chan struct{}
+	inflight [2]atomic.Int32
+	overlap  atomic.Bool
+}
+
+func newStepGate() *stepGate {
+	return &stepGate{entered: make(chan int), verdict: make(chan error), done: make(chan struct{})}
+}
+
+func (g *stepGate) AdmitWrites() (bool, string) { return true, "" }
+
+func (g *stepGate) WaitCommitted(shard int) error {
+	if g.inflight[shard].Add(1) != 1 {
+		g.overlap.Store(true)
+	}
+	defer g.inflight[shard].Add(-1)
+	select {
+	case g.entered <- shard:
+	case <-g.done:
+		return nil
+	}
+	select {
+	case err := <-g.verdict:
+		return err
+	case <-g.done:
+		return nil
+	}
+}
+
+// awaitEntered blocks until a WaitCommitted begins.
+func (g *stepGate) awaitEntered(t *testing.T) {
+	t.Helper()
+	select {
+	case <-g.entered:
+	case <-time.After(10 * time.Second):
+		t.Fatal("no WaitCommitted began")
+	}
+}
+
+// passUntil commits every wait that begins until cond holds.
+func (g *stepGate) passUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+		select {
+		case <-g.entered:
+			g.verdict <- nil
+		case <-time.After(2 * time.Millisecond):
+		}
+	}
+}
+
+// pipelineClient is one connection whose grants (and errors) are recorded in
+// arrival order.
+type pipelineClient struct {
+	*Client
+	mu     sync.Mutex
+	grants []Grant
+	errs   []error
+}
+
+func dialPipeline(t *testing.T, addr string) *pipelineClient {
+	t.Helper()
+	c, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { c.Close() })
+	return &pipelineClient{Client: c}
+}
+
+// acquire pipelines one acquire per client ID and flushes.
+func (p *pipelineClient) acquire(t *testing.T, clients ...uint64) {
+	t.Helper()
+	for _, client := range clients {
+		err := p.Acquire(client, func(g Grant, err error) {
+			p.mu.Lock()
+			defer p.mu.Unlock()
+			if err != nil {
+				p.errs = append(p.errs, err)
+			} else {
+				p.grants = append(p.grants, g)
+			}
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := p.Flush(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// seen returns the grants received so far. A stats round trip first makes
+// the answer exact: responses are FIFO per connection, so every grant frame
+// the server committed to this connection's outbox before it served the
+// stats request has been dispatched by the time the reply is.
+func (p *pipelineClient) seen(t *testing.T) []Grant {
+	t.Helper()
+	if _, err := p.StatsSync(); err != nil {
+		t.Fatal(err)
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]Grant(nil), p.grants...)
+}
+
+// startPipeline serves a one-shard volatile service behind a stepGate, so
+// the shard is piped: an epoch loop plus a delivery goroutine.
+func startPipeline(t *testing.T, cfg Config, scfg ServerConfig) (*Service, *Server, string, *stepGate) {
+	t.Helper()
+	svc, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	scfg.Service = svc
+	scfg.Logf = t.Logf
+	gate := newStepGate()
+	scfg.Gate = gate
+	srv, err := NewServer(scfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	done := make(chan error, 1)
+	go func() { done <- srv.Serve(ln) }()
+	t.Cleanup(func() {
+		// A deliverer still parked in the gate must be let go before
+		// Server.Close can wait for it.
+		close(gate.done)
+		ln.Close()
+		srv.Close()
+		if err := <-done; err != nil {
+			t.Errorf("serve: %v", err)
+		}
+		if gate.overlap.Load() {
+			t.Error("two WaitCommitted calls were in flight on one shard")
+		}
+	})
+	return svc, srv, ln.Addr().String(), gate
+}
+
+// TestPipelineClosesEpochsDuringCommitWait: with the shard's deliverer
+// parked in WaitCommitted, later acquires are still closed into epochs —
+// the shard's epoch counter advances — yet nothing reaches the wire; when
+// the gate lets go, every grant arrives, in epoch order, the epochs closed
+// during the first wait sharing the second.
+func TestPipelineClosesEpochsDuringCommitWait(t *testing.T) {
+	t.Parallel()
+	svc, _, addr, gate := startPipeline(t, Config{ShardCap: 64, Seed: 3}, ServerConfig{})
+	c := dialPipeline(t, addr)
+
+	c.acquire(t, 1)
+	gate.awaitEntered(t) // epoch 1 is in flight, its commit pending
+	for client := uint64(2); client <= 4; client++ {
+		c.acquire(t, client)
+		waitFor(t, "the epoch loop to close another epoch during the commit wait",
+			func() bool { return svc.ShardEpoch(0) == client })
+	}
+	if got := c.seen(t); len(got) != 0 {
+		t.Fatalf("%d grants on the wire before any commit: %+v", len(got), got)
+	}
+
+	gate.verdict <- nil  // epoch 1 commits
+	gate.awaitEntered(t) // one wait for epochs 2..4 together
+	if got := c.seen(t); len(got) != 1 || got[0].Epoch != 1 {
+		t.Fatalf("after the first commit the wire carries %+v, want epoch 1's grant alone", got)
+	}
+	gate.verdict <- nil
+	waitFor(t, "the remaining grants", func() bool { return len(c.seen(t)) == 4 })
+	for i, g := range c.seen(t) {
+		if g.Epoch != uint64(i+1) {
+			t.Fatalf("grant %d is from epoch %d: delivery left epoch order", i, g.Epoch)
+		}
+	}
+	select {
+	case shard := <-gate.entered:
+		t.Fatalf("a WaitCommitted(%d) with nothing staged", shard)
+	default:
+	}
+}
+
+// TestPipelineWindowBackpressure: the window of closed-but-uncommitted
+// grants is bounded. With the deliverer parked, the epoch loop closes
+// epochs until maxStagedGrants are staged behind the batch in flight, then
+// stops — requests stay queued in the service — and resumes when delivery
+// frees the window.
+func TestPipelineWindowBackpressure(t *testing.T) {
+	t.Parallel()
+	const maxBatch = 64
+	const flood = maxStagedGrants + 10*maxBatch
+	svc, srv, addr, gate := startPipeline(t,
+		Config{ShardCap: 1 << 14, Seed: 3, MaxBatch: maxBatch},
+		ServerConfig{MaxOutstanding: 1 << 14})
+	c := dialPipeline(t, addr)
+
+	c.acquire(t, 1)
+	gate.awaitEntered(t)
+	clients := make([]uint64, flood)
+	for i := range clients {
+		clients[i] = uint64(i + 2)
+	}
+	c.acquire(t, clients...)
+	d := &srv.deliver[0]
+	staged := func() int {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.pend.staged)
+	}
+	waitFor(t, "the window to fill", func() bool { return staged() >= maxStagedGrants })
+	c.seen(t) // a round trip later the epoch loop has had every chance to overrun
+	if n := staged(); n >= maxStagedGrants+maxBatch {
+		t.Fatalf("%d grants staged: the epoch loop closed an epoch into a full window", n)
+	}
+	if n, queued := staged(), svc.Pending(0); queued != flood-n {
+		t.Fatalf("%d staged, %d still queued, of %d: the epoch loop did not stop", n, queued, flood)
+	}
+
+	gate.verdict <- nil // the first batch commits; the window swaps into flight
+	gate.passUntil(t, "every grant of the flood", func() bool { return len(c.seen(t)) == flood+1 })
+	last := uint64(0)
+	for _, g := range c.seen(t) {
+		if g.Epoch < last {
+			t.Fatalf("epoch %d delivered after epoch %d", g.Epoch, last)
+		}
+		last = g.Epoch
+	}
+}
+
+// TestPipelineGateErrorDiscardsBothBuffers: when the gate reports the
+// records can no longer commit, the batch in flight and everything staged
+// behind it are both dropped — not one grant frame is written — and after
+// the resync a deposed node goes through, the same names are granted again
+// without any client ever having seen them twice.
+func TestPipelineGateErrorDiscardsBothBuffers(t *testing.T) {
+	t.Parallel()
+	svc, srv, addr, gate := startPipeline(t, Config{ShardCap: 64, Seed: 3}, ServerConfig{})
+	c := dialPipeline(t, addr)
+	before := svc.ShardSnapshotPayload(0)
+
+	c.acquire(t, 1)
+	gate.awaitEntered(t)
+	c.acquire(t, 2, 3)
+	waitFor(t, "a second epoch staged behind the one in flight",
+		func() bool { return svc.Pending(0) == 0 && svc.ShardEpoch(0) >= 2 })
+	if svc.Stats().Assigned != 3 {
+		t.Fatalf("assigned %d, want 3 names in uncommitted epochs", svc.Stats().Assigned)
+	}
+
+	gate.verdict <- errors.New("deposed")
+	d := &srv.deliver[0]
+	waitFor(t, "both buffers to be discarded", func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.pend.staged) == 0 && len(d.fly.staged) == 0
+	})
+	if got := c.seen(t); len(got) != 0 {
+		t.Fatalf("discarded grants reached the wire: %+v", got)
+	}
+	select {
+	case shard := <-gate.entered:
+		t.Fatalf("WaitCommitted(%d) for a discarded batch", shard)
+	default:
+	}
+
+	// What follows deposition: the shard is restored from the new leader's
+	// state, which never contained the doomed epochs.
+	if err := svc.RestoreReplicaShard(0, before); err != nil {
+		t.Fatal(err)
+	}
+	c2 := dialPipeline(t, addr)
+	c2.acquire(t, 11, 12, 13)
+	gate.passUntil(t, "the re-grants", func() bool { return len(c2.seen(t)) == 3 })
+	names := map[int]bool{}
+	for _, g := range c2.seen(t) {
+		names[g.Name] = true
+	}
+	if !names[1] || !names[2] || !names[3] {
+		t.Fatalf("the discarded names 1..3 were not granted again: %v", names)
+	}
+	if got := c.seen(t); len(got) != 0 {
+		t.Fatalf("the first connection saw %+v", got)
+	}
+}
+
+// TestManualEpochDeliversSynchronouslyBehindGate: manual epochs have no
+// delivery goroutine; the epoch op waits out the commit itself and its
+// reply follows the epoch's grants on the wire.
+func TestManualEpochDeliversSynchronouslyBehindGate(t *testing.T) {
+	t.Parallel()
+	_, _, addr, gate := startPipeline(t, Config{ShardCap: 64, Seed: 3}, ServerConfig{ManualEpochs: true})
+	c := dialPipeline(t, addr)
+	c.acquire(t, 1, 2)
+	type reply struct {
+		granted int
+		seen    int
+		err     error
+	}
+	replied := make(chan reply, 1)
+	err := c.Epoch(0, func(_ uint64, granted int, err error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		replied <- reply{granted: granted, seen: len(c.grants), err: err}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	gate.awaitEntered(t)
+	select {
+	case r := <-replied:
+		t.Fatalf("epoch reply %+v before the commit", r)
+	default:
+	}
+	gate.verdict <- nil
+	select {
+	case r := <-replied:
+		if r.err != nil || r.granted != 2 || r.seen != 2 {
+			t.Fatalf("epoch reply %+v, want 2 granted with both grants already dispatched", r)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no epoch reply after the commit")
 	}
 }
