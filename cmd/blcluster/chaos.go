@@ -11,9 +11,7 @@
 //   - election stability: for scenarios that never unseat a healthy
 //     leader (flapping-follower, asymmetric-split) the cluster term must
 //     not move, leadership must not change hands, no holder grant may be
-//     revoked, and the leader's read lease must never lapse — unless
-//     -legacy-elections deliberately runs the pre-hardening behavior for
-//     the before/after differential,
+//     revoked, and the leader's read lease must never lapse,
 //   - with -retain-records, the leader's compaction floor advanced,
 //   - byte-identical per-shard digests across all replicas after heal.
 //
@@ -302,11 +300,11 @@ func chaosRun(cfg *config) error {
 	fmt.Printf("blcluster: node %d is leader (%s)\n", leader, cfg.clientAddr(leader))
 	follower := (leader + 1) % cfg.n
 
-	// The pre-fault term anchors the election-disruption invariant: with
-	// the hardening on, a scenario that never unseats a healthy leader
-	// (follower flaps, a deafened follower) must end the run with zero
-	// term movement anywhere in the cluster. The legacy differential and
-	// leader-targeted scenarios report the movement without gating on it.
+	// The pre-fault term anchors the election-disruption invariant: a
+	// scenario that never unseats a healthy leader (follower flaps, a
+	// deafened follower) must end the run with zero term movement anywhere
+	// in the cluster. Leader-targeted scenarios report the movement without
+	// gating on it.
 	preStats, err := nodeStats(cfg, leader)
 	if err != nil {
 		return fmt.Errorf("chaos: leader stats: %w", err)
@@ -537,7 +535,7 @@ func chaosRun(cfg *config) error {
 	leaseRevocations := hc.Redirects - holderBase.Redirects
 	fmt.Printf("blcluster: chaos invariant: lease revocations: %d\n", leaseRevocations)
 	fmt.Printf("blcluster: chaos invariant: compaction floor: %d\n", floors[postLeader])
-	if leaderHealthy && !cfg.legacyElections {
+	if leaderHealthy {
 		switch {
 		case maxTerm != termBefore:
 			return fmt.Errorf("chaos: %d disruptive elections while the leader stayed healthy", maxTerm-termBefore)

@@ -81,7 +81,6 @@ type config struct {
 	fsync           string
 	snapshotEvery   int
 	electionTimeout time.Duration
-	legacyElections bool
 	retainRecords   int
 	killLeaderAfter time.Duration
 	runFor          time.Duration
@@ -113,8 +112,6 @@ func parseFlags(args []string) (*config, error) {
 		"checkpoint a shard after this many WAL records")
 	fs.DurationVar(&cfg.electionTimeout, "election-timeout", 300*time.Millisecond,
 		"follower patience before campaigning")
-	fs.BoolVar(&cfg.legacyElections, "legacy-elections", false,
-		"run every daemon with pre-vote/check-quorum/read-lease hardening disabled (the chaos before/after differential)")
 	fs.IntVar(&cfg.retainRecords, "retain-records", 0,
 		"cap every leader's replication-record backlog (0 = daemon default)")
 	fs.DurationVar(&cfg.killLeaderAfter, "kill-leader-after", 0,
@@ -379,9 +376,6 @@ func spawn(cfg *config, i int, peers string) (*member, error) {
 		"-node-id", fmt.Sprint(i),
 		"-peers", peers,
 		"-election-timeout", cfg.electionTimeout.String(),
-	}
-	if cfg.legacyElections {
-		args = append(args, "-legacy-elections")
 	}
 	if cfg.retainRecords > 0 {
 		args = append(args, "-retain-records", fmt.Sprint(cfg.retainRecords))

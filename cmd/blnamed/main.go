@@ -11,12 +11,6 @@
 //
 //	blload -connect 127.0.0.1:4720 -conns 4 -outstanding 64 -duration 5s
 //
-// The -runner flag selects the epoch engine: "cohort" (default) runs the
-// fast in-process whole-system simulator; "transport" runs each epoch as a
-// true distributed execution of the public Protocol over an in-process
-// loopback transport — orders of magnitude slower, useful to validate that
-// both engines produce identical ledgers for identical traffic.
-//
 // -epoch sets a batching window so trickling arrivals coalesce into larger
 // epochs; the window is adaptive and ends early the moment the batch can
 // no longer grow (it reached -max-batch, or it covers every free name), so
@@ -85,7 +79,6 @@ type config struct {
 	seed           uint64
 	maxBatch       int
 	epoch          time.Duration
-	runner         namesvc.Runner
 	timeout        time.Duration
 	maxOutstanding int
 	maxConnQueue   int
@@ -102,7 +95,6 @@ type config struct {
 	nodeID          int
 	peers           []repl.PeerSpec
 	electionTimeout time.Duration
-	legacyElections bool
 	retainRecords   int
 }
 
@@ -111,7 +103,6 @@ func parseFlags(args []string) (*config, error) {
 	fs := flag.NewFlagSet("blnamed", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
 	cfg := &config{}
-	var runner string
 	fs.StringVar(&cfg.listen, "listen", "", "address to listen on (required)")
 	fs.IntVar(&cfg.shards, "shards", 1, "independent namespace shards")
 	fs.IntVar(&cfg.shardCap, "shard-cap", 1024, "names per shard")
@@ -119,7 +110,6 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0, "max acquires assigned per epoch (0 = shard capacity)")
 	fs.DurationVar(&cfg.epoch, "epoch", 0,
 		"batching window before closing an epoch, ended early once the batch cannot grow (0 = group commit)")
-	fs.StringVar(&runner, "runner", "cohort", "epoch engine: cohort | transport")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-operation network timeout")
 	fs.IntVar(&cfg.maxOutstanding, "max-outstanding", 0,
 		"per-connection in-flight acquire cap; beyond it acquires are rejected busy (0 = server default)")
@@ -146,22 +136,12 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.nodeID, "node-id", 0, "with -replicate, this member's index into -peers")
 	fs.DurationVar(&cfg.electionTimeout, "election-timeout", 500*time.Millisecond,
 		"with -replicate, follower patience before campaigning (heartbeats flow at a fifth of it)")
-	fs.BoolVar(&cfg.legacyElections, "legacy-elections", false,
-		"with -replicate, disable pre-vote, leader stickiness, check-quorum, and the read lease (the pre-hardening election behavior, for differentials)")
 	fs.IntVar(&cfg.retainRecords, "retain-records", 0,
 		"with -replicate, cap the leader's replication-record backlog; laggards past it re-attach via snapshot (0 = default)")
 	if err := fs.Parse(args); err != nil {
 		// The FlagSet has already reported the problem (or printed the
 		// -h usage) to stderr; mark it so main does not repeat it.
 		return nil, errors.Join(errFlagsReported, err)
-	}
-	switch runner {
-	case "cohort":
-		cfg.runner = namesvc.CohortRunner{}
-	case "transport":
-		cfg.runner = namesvc.TransportRunner{}
-	default:
-		return nil, fmt.Errorf("blnamed: unknown runner %q (want cohort or transport)", runner)
 	}
 	switch {
 	case cfg.listen == "":
@@ -249,7 +229,6 @@ func build(cfg *config) (*namesvc.Server, *namesvc.Service, *repl.Node, error) {
 		Shards:       cfg.shards,
 		ShardCap:     cfg.shardCap,
 		Seed:         cfg.seed,
-		Runner:       cfg.runner,
 		MaxBatch:     cfg.maxBatch,
 		Journal:      cfg.journal,
 		JournalLimit: cfg.journalLimit,
@@ -281,7 +260,6 @@ func build(cfg *config) (*namesvc.Server, *namesvc.Service, *repl.Node, error) {
 			Service:         svc,
 			MetaPath:        filepath.Join(cfg.dataDir, "repl-meta"),
 			ElectionTimeout: cfg.electionTimeout,
-			LegacyElections: cfg.legacyElections,
 			RetainRecords:   cfg.retainRecords,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "blnamed: "+format+"\n", args...)
@@ -362,7 +340,7 @@ func main() {
 		durability += fmt.Sprintf(", replicating as node %d of %d", cfg.nodeID, len(cfg.peers))
 	}
 	fmt.Printf("blnamed: serving %d shard(s) x %d names on %s (runner %s, seed %d, %s)\n",
-		cfg.shards, cfg.shardCap, ln.Addr(), cfg.runner.Name(), cfg.seed, durability)
+		cfg.shards, cfg.shardCap, ln.Addr(), namesvc.CohortRunner{}.Name(), cfg.seed, durability)
 
 	// SIGINT/SIGTERM drain: stop accepting, tear down connections, write
 	// the final checkpoint, exit 0.

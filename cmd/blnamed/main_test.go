@@ -17,7 +17,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		args []string
 	}{
 		{"missing listen", nil},
-		{"bad runner", []string{"-listen", ":0", "-runner", "warp"}},
+		{"unknown flag", []string{"-listen", ":0", "-runner", "transport"}},
 		{"zero shards", []string{"-listen", ":0", "-shards", "0"}},
 		{"zero shard-cap", []string{"-listen", ":0", "-shard-cap", "0"}},
 		{"negative journal-limit", []string{"-listen", ":0", "-journal-limit", "-1"}},
@@ -46,7 +46,7 @@ func TestParseFlagsValidation(t *testing.T) {
 		t.Fatalf("-h err = %v", err)
 	}
 	cfg, err := parseFlags([]string{"-listen", "127.0.0.1:0", "-shards", "4", "-shard-cap", "64",
-		"-seed", "9", "-epoch", "1ms", "-runner", "transport", "-quiet",
+		"-seed", "9", "-epoch", "1ms", "-quiet",
 		"-journal", "-journal-limit", "512",
 		"-max-outstanding", "128", "-max-conn-queue", "65536"})
 	if err != nil {
@@ -57,9 +57,6 @@ func TestParseFlagsValidation(t *testing.T) {
 		!cfg.journal || cfg.journalLimit != 512 ||
 		cfg.maxOutstanding != 128 || cfg.maxConnQueue != 65536 {
 		t.Fatalf("cfg = %+v", cfg)
-	}
-	if cfg.runner.Name() != (namesvc.TransportRunner{}).Name() {
-		t.Fatalf("runner = %s", cfg.runner.Name())
 	}
 	if cfg.fsyncMode != namesvc.FsyncPerEpoch || cfg.dataDir != "" {
 		t.Fatalf("default durability cfg = %+v", cfg)

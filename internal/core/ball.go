@@ -7,7 +7,6 @@ import (
 	"ballsintoleaves/internal/adversary"
 	"ballsintoleaves/internal/proto"
 	"ballsintoleaves/internal/rng"
-	"ballsintoleaves/internal/sim"
 	"ballsintoleaves/internal/tree"
 	"ballsintoleaves/internal/wire"
 )
@@ -49,11 +48,10 @@ type Ball struct {
 	decodeErrors int
 }
 
-// Compile-time checks that Ball satisfies the engine contracts.
-var (
-	_ proto.Process    = (*Ball)(nil)
-	_ sim.Introspector = (*Ball)(nil)
-)
+// Compile-time check that Ball satisfies the engine contract (the optional
+// sim.Introspector one is asserted in ball_test.go, so that the service
+// daemons, which run only the Cohort, do not link the reference engine).
+var _ proto.Process = (*Ball)(nil)
 
 // NewBall constructs one process. All balls of a system must share the same
 // Config (normalized identically) and topology; use NewBalls for the common

@@ -10,6 +10,8 @@ import (
 	"ballsintoleaves/internal/tree"
 )
 
+var _ sim.Introspector = (*Ball)(nil)
+
 // runBalls drives a Ball system on the reference engine.
 func runBalls(t *testing.T, cfg Config, labels []proto.ID, engCfg sim.Config) sim.Result {
 	t.Helper()

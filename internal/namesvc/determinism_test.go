@@ -1,11 +1,15 @@
 package namesvc
 
 import (
+	"fmt"
 	"math/rand"
 	"reflect"
 	"testing"
 
+	bil "ballsintoleaves"
 	"ballsintoleaves/internal/core"
+	"ballsintoleaves/internal/proto"
+	"ballsintoleaves/internal/transport"
 )
 
 // traceOp is one step of a recorded arrival trace, replayable against any
@@ -130,6 +134,69 @@ func TestReplayIdenticalLedgers(t *testing.T) {
 	if c.Digest() == a.Digest() {
 		t.Fatal("different seeds produced identical ledgers")
 	}
+}
+
+// TransportRunner runs epochs as true distributed executions: one goroutine
+// per batch member drives the public ballsintoleaves.Protocol over an
+// internal/transport loopback hub, exactly the state machine cmd/blserve
+// runs over TCP. It is the equivalence witness for CohortRunner — orders of
+// magnitude slower, and linked into no binary.
+type TransportRunner struct{}
+
+// Name implements Runner.
+func (TransportRunner) Name() string { return "transport" }
+
+// Assign implements Runner, with bil.EarlyTerminating: the O(1)-failure-free
+// variant matching CohortRunner's default.
+func (TransportRunner) Assign(seed uint64, labels []proto.ID, ranks []int) error {
+	n := len(labels)
+	sum, err := transport.RunAll(labels, transport.NetConfig{}, func(id proto.ID) (transport.Process, error) {
+		p, err := bil.NewProtocol(n, seed, uint64(id), bil.EarlyTerminating)
+		if err != nil {
+			return nil, err
+		}
+		return protocolProcess{p}, nil
+	}, 0)
+	if err != nil {
+		return err
+	}
+	return ranksByLabel(labels, sum.Decisions, ranks)
+}
+
+// protocolProcess adapts the public Protocol to transport.Process.
+type protocolProcess struct{ p *bil.Protocol }
+
+func (a protocolProcess) Send(round int) []byte { return a.p.Send(round) }
+func (a protocolProcess) Deliver(round int, msgs []proto.Message) {
+	conv := make([]bil.Message, len(msgs))
+	for i, m := range msgs {
+		conv[i] = bil.Message{From: uint64(m.From), Payload: m.Payload}
+	}
+	a.p.Deliver(round, conv)
+}
+func (a protocolProcess) Decided() (int, bool) { return a.p.Decided() }
+func (a protocolProcess) Done() bool           { return a.p.Done() }
+
+// ranksByLabel aligns decisions (ascending by ID) with the batch's label
+// order, filling ranks. Epoch batches are failure-free renaming instances,
+// so every label must have decided; anything else is a runner bug surfaced
+// as an error.
+func ranksByLabel(labels []proto.ID, decisions []proto.Decision, ranks []int) error {
+	if len(decisions) != len(labels) {
+		return fmt.Errorf("namesvc: %d decisions for a batch of %d", len(decisions), len(labels))
+	}
+	byID := make(map[proto.ID]int, len(decisions))
+	for _, d := range decisions {
+		byID[d.ID] = d.Name
+	}
+	for i, l := range labels {
+		name, ok := byID[l]
+		if !ok {
+			return fmt.Errorf("namesvc: label %v missing from decisions", l)
+		}
+		ranks[i] = name
+	}
+	return nil
 }
 
 // TestCohortAndTransportRunnersAgree extends the repository's equivalence

@@ -10,8 +10,8 @@
 //
 //   - Arriving acquire requests queue per shard.
 //   - Closing an epoch snapshots the batch, runs one renaming instance over
-//     it (the fast in-process core.Cohort, or the public Protocol over
-//     internal/transport for distributed mode), and maps the decided ranks
+//     it (the fast in-process core.Cohort; the tests pin it equal to the
+//     public Protocol over internal/transport), and maps the decided ranks
 //     onto the k smallest free names of the shard's namespace.
 //   - Releases return names to the free pool immediately; a released name
 //     can be re-granted by any later epoch, and never before.
@@ -526,7 +526,7 @@ func (s *Service) EpochRunnable(shardIdx int) bool {
 // BatchFull reports whether waiting longer cannot grow the shard's next
 // epoch batch: the queue already meets the MaxBatch cap, or it covers
 // every remaining free name. Epoch-loop drivers with a batching window
-// (Server.shardLoop) use it to close adaptively — as soon as the batch is
+// (Server.epochLoop) use it to close adaptively — as soon as the batch is
 // as large as an epoch can assign — instead of always waiting the window
 // out.
 func (s *Service) BatchFull(shardIdx int) bool {

@@ -45,7 +45,7 @@ func (n *Node) leaderTick(l *leaderState) {
 			n.mu.Unlock()
 			return
 		}
-		if !n.cfg.LegacyElections && !n.leaseFreshLocked(l) {
+		if !n.leaseFreshLocked(l) {
 			n.electionReason = "check-quorum-stepdown"
 			n.logf("repl: node %d stepping down: no quorum heard for %v (term %d)",
 				n.cfg.NodeID, n.cfg.ElectionTimeout, l.term)
@@ -120,25 +120,23 @@ func (n *Node) compactLocked(l *leaderState) {
 	}
 }
 
-// ReadLeaseValid implements the Server's read-lease extension: a leader
-// answers stats/journal reads only while its check-quorum lease is
-// fresh. Followers always serve (their reads are locally consistent, not
-// linearizable — clients wanting linearizable reads use the leader), and
-// LegacyElections disables the gate entirely.
+// ReadLeaseValid implements namesvc.ReplGate: a leader answers
+// stats/journal reads only while its check-quorum lease is fresh.
+// Followers always serve (their reads are locally consistent, not
+// linearizable — clients wanting linearizable reads use the leader).
 func (n *Node) ReadLeaseValid() bool {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	l := n.ldr
-	if l == nil || n.cfg.LegacyElections {
+	if l == nil {
 		return true
 	}
 	return n.leaseFreshLocked(l)
 }
 
-// WireReplStats implements the Server's stats extension: the node's
-// term, role, the reason for its last term/role change, and the
-// compaction floor — what chaos checkers assert term stability against
-// instead of grepping logs.
+// WireReplStats implements namesvc.ReplGate: the node's term, role, the
+// reason for its last term/role change, and the compaction floor — what
+// chaos checkers assert term stability against instead of grepping logs.
 func (n *Node) WireReplStats() (term uint64, role namesvc.Role, reason string, compactFloor uint64) {
 	n.mu.Lock()
 	defer n.mu.Unlock()

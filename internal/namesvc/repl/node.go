@@ -69,11 +69,6 @@ type Config struct {
 	// ManualElections disables the election timer: leadership changes
 	// only through explicit Campaign calls. Deterministic tests only.
 	ManualElections bool
-	// LegacyElections disables the pre-vote round, leader stickiness, and
-	// the leader's check-quorum step-down and read lease — the
-	// pre-hardening election behavior, kept behind an escape hatch so the
-	// chaos lab can run the before/after differential.
-	LegacyElections bool
 	// RetainRecords bounds the leader's replication queue: committed-and-
 	// applied-everywhere prefixes are pruned continuously, and the queue
 	// never retains more than this many records regardless of laggards
@@ -84,10 +79,10 @@ type Config struct {
 }
 
 // Node is one replication participant. It implements namesvc.CommitGate
-// (plus the role reporter extension), so wiring it as the Server's Gate
-// is what turns a standalone daemon into a cluster member: writes are
-// admitted only on the leader, and grants are delivered only after a
-// quorum of replicas holds the records behind them.
+// and its ReplGate extension, so wiring it as the Server's Gate is what
+// turns a standalone daemon into a cluster member: writes are admitted
+// only on the leader, and grants are delivered only after a quorum of
+// replicas holds the records behind them.
 type Node struct {
 	cfg        Config
 	svc        *namesvc.Service
@@ -347,8 +342,8 @@ func (n *Node) WaitCommitted(shard int) error {
 	}
 }
 
-// WireRole implements the Server's role reporter: what the welcome
-// message tells connecting clients.
+// WireRole implements namesvc.ReplGate: what the welcome message tells
+// connecting clients.
 func (n *Node) WireRole() (namesvc.Role, string) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
@@ -399,8 +394,8 @@ func (n *Node) electionLoop() {
 }
 
 // Campaign runs one election round synchronously: a non-term-bumping
-// pre-vote poll first (unless LegacyElections), then term+1, vote for
-// self, request votes from every peer, and take leadership on a quorum.
+// pre-vote poll first, then term+1, vote for self, request votes from
+// every peer, and take leadership on a quorum.
 // It reports whether this node leads the new term. Safe to call at any
 // time; the election timer calls it automatically unless disabled.
 func (n *Node) Campaign() bool {
@@ -410,19 +405,17 @@ func (n *Node) Campaign() bool {
 		n.mu.Unlock()
 		return won
 	}
-	if !n.cfg.LegacyElections {
-		nextTerm := n.term + 1
-		recTerm := n.lastRecTerm
+	nextTerm := n.term + 1
+	recTerm := n.lastRecTerm
+	n.mu.Unlock()
+	if !n.preVote(nextTerm, recTerm, n.svc.Position()) {
+		return false
+	}
+	n.mu.Lock()
+	if n.closed || n.ldr != nil {
+		won := n.ldr != nil
 		n.mu.Unlock()
-		if !n.preVote(nextTerm, recTerm, n.svc.Position()) {
-			return false
-		}
-		n.mu.Lock()
-		if n.closed || n.ldr != nil {
-			won := n.ldr != nil
-			n.mu.Unlock()
-			return won
-		}
+		return won
 	}
 	n.term++
 	n.votedFor = n.cfg.NodeID
@@ -608,11 +601,11 @@ func (n *Node) serveLink(p *transport.Peer) {
 // serveVote answers one vote request: grant if the term is current, the
 // vote is unspent, and the candidate is at least as fresh — by (last
 // record term, total position), so a candidate missing quorum-committed
-// records can never collect a quorum of grants. Leader stickiness
-// (unless LegacyElections): while this node hears a live leader within
-// the election timeout, a higher-term request is refused *without
-// adopting its term*, so a returning partitioned node's inflated term
-// cannot depose a healthy leader.
+// records can never collect a quorum of grants. Leader stickiness: while
+// this node hears a live leader within the election timeout, a
+// higher-term request is refused *without adopting its term*, so a
+// returning partitioned node's inflated term cannot depose a healthy
+// leader.
 func (n *Node) serveVote(p *transport.Peer, body []byte) {
 	reqTerm, candidate, candRecTerm, candPos, err := decodeVoteReq(body)
 	if err != nil {
@@ -623,7 +616,7 @@ func (n *Node) serveVote(p *transport.Peer, body []byte) {
 	// record this node has ever acknowledged.
 	pos := n.svc.Position()
 	n.mu.Lock()
-	if !n.cfg.LegacyElections && reqTerm > n.term && n.hearingLeaderLocked() {
+	if reqTerm > n.term && n.hearingLeaderLocked() {
 		cur := n.term
 		n.mu.Unlock()
 		var w wire.Writer

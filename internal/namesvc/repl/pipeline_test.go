@@ -31,9 +31,10 @@ func clientOnShard(svc *namesvc.Service, shard, n int) uint64 {
 // on the newest can never be satisfied, a wait on the entry-time target is
 // as soon as the walk passes it.
 func TestWaitCommittedTargetsRecordsAtEntry(t *testing.T) {
-	// Legacy elections: no check-quorum, so the leader keeps leading with
-	// both followers gone and only this test moves the commit index.
-	c := startCluster(t, 3, legacyElections)
+	// An election timeout longer than the test: check-quorum never judges
+	// the lease, so the leader keeps leading with both followers gone and
+	// only this test moves the commit index.
+	c := startCluster(t, 3, func(cfg *Config) { cfg.ElectionTimeout = time.Minute })
 	n := c.nodes[0]
 	if !n.Campaign() {
 		t.Fatal("node 0 failed to take leadership")

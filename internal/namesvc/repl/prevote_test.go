@@ -218,11 +218,4 @@ func TestReadLeaseFreshness(t *testing.T) {
 	if !n.ReadLeaseValid() {
 		t.Error("follower ReadLeaseValid = false, want true")
 	}
-	// Legacy mode disables the gate even with a stale lease.
-	n.cfg.LegacyElections = true
-	n.ldr = l
-	l.heard[1], l.heard[2] = stale, stale
-	if !n.ReadLeaseValid() {
-		t.Error("legacy-mode ReadLeaseValid = false, want true")
-	}
 }

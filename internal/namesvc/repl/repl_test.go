@@ -136,11 +136,6 @@ func startCluster(t *testing.T, size int, opts ...func(*Config)) *cluster {
 	return c
 }
 
-// legacyElections is the startCluster option that restores the
-// pre-hardening election behavior (no pre-vote, no stickiness, no
-// check-quorum) for tests pinning the legacy differential.
-func legacyElections(cfg *Config) { cfg.LegacyElections = true }
-
 func (c *cluster) close() {
 	for _, n := range c.nodes {
 		if n != nil {
@@ -429,16 +424,14 @@ func TestClusterMatchesVolatileReference(t *testing.T) {
 	}
 }
 
-// TestFailoverFencesDeposedLeader: a new campaign deposes the old leader
-// mid-flight — its commit waiters fail, it stops admitting writes and
+// TestFailoverFencesDeposedLeader: a leader that observes a higher term is
+// fenced — its commit waiters fail, it stops admitting writes and
 // redirects to the new leader, and the cluster reconverges under the new
-// term. This deliberately pins the *legacy* election path: with pre-vote
-// and leader stickiness a healthy leader cannot be deposed by a fresh
-// campaign at all (see TestPreVoteProtectsHealthyLeader), so the fencing
-// mechanics are exercised through the one mode that still permits the
-// deposal.
+// term. With pre-vote and leader stickiness a fresh campaign alone cannot
+// depose a healthy leader (see TestPreVoteProtectsHealthyLeader), so the
+// deposal is driven the way a peer frame carrying a higher term drives it.
 func TestFailoverFencesDeposedLeader(t *testing.T) {
-	c := startCluster(t, 3, legacyElections)
+	c := startCluster(t, 3)
 	if !c.nodes[0].Campaign() {
 		t.Fatal("node 0 failed to take leadership")
 	}
@@ -450,17 +443,20 @@ func TestFailoverFencesDeposedLeader(t *testing.T) {
 	closeEpochs(t, c, 0)
 	c.waitConverged(0)
 
-	// Depose: node 1 campaigns at a higher term. Its freshness equals the
-	// converged cluster's, so it must win.
-	if !c.nodes[1].Campaign() {
-		t.Fatal("converged follower failed to take leadership")
+	// Depose: node 0 sees a higher term and steps down. Node 1's freshness
+	// equals the converged cluster's, so it wins as soon as a quorum stops
+	// vouching for a live leader: its first poll only learns node 0's new
+	// term, the next is granted by node 0 itself.
+	_, term, _ := c.nodes[0].Status()
+	c.nodes[0].observeTerm(term + 1)
+	if c.nodes[0].IsLeader() {
+		t.Fatal("deposed leader still claims leadership")
 	}
 	deadline := time.Now().Add(5 * time.Second)
-	for c.nodes[0].IsLeader() {
+	for !c.nodes[1].Campaign() {
 		if time.Now().After(deadline) {
-			t.Fatal("deposed leader still claims leadership")
+			t.Fatal("converged follower failed to take leadership")
 		}
-		time.Sleep(2 * time.Millisecond)
 	}
 	if err := c.nodes[0].WaitCommitted(0); err == nil {
 		t.Fatal("WaitCommitted on the deposed leader returned nil")

@@ -3,10 +3,8 @@ package namesvc
 import (
 	"fmt"
 
-	bil "ballsintoleaves"
 	"ballsintoleaves/internal/core"
 	"ballsintoleaves/internal/proto"
-	"ballsintoleaves/internal/transport"
 )
 
 // Runner executes one renaming instance for an epoch batch: given the batch
@@ -138,79 +136,6 @@ func (e *cohortEngine) Assign(seed uint64, labels []proto.ID, ranks []int) error
 		name, _, decided := c.DecisionOf(idx)
 		if !decided {
 			return fmt.Errorf("namesvc: label %v did not decide", l)
-		}
-		ranks[i] = name
-	}
-	return nil
-}
-
-// TransportRunner runs epochs as true distributed executions: one goroutine
-// per batch member drives the public ballsintoleaves.Protocol over an
-// internal/transport loopback hub, exactly the state machine cmd/blserve
-// runs over TCP. It is the fidelity configuration — orders of magnitude
-// slower than CohortRunner, pinned equivalent by the determinism tests.
-type TransportRunner struct {
-	// Variant selects the algorithm; zero means bil.EarlyTerminating, the
-	// O(1)-failure-free variant matching CohortRunner's default.
-	Variant bil.Algorithm
-}
-
-// Name implements Runner.
-func (r TransportRunner) Name() string { return fmt.Sprintf("transport/%v", r.variant()) }
-
-func (r TransportRunner) variant() bil.Algorithm {
-	if r.Variant == 0 {
-		return bil.EarlyTerminating
-	}
-	return r.Variant
-}
-
-// Assign implements Runner.
-func (r TransportRunner) Assign(seed uint64, labels []proto.ID, ranks []int) error {
-	n := len(labels)
-	sum, err := transport.RunAll(labels, transport.NetConfig{}, func(id proto.ID) (transport.Process, error) {
-		p, err := bil.NewProtocol(n, seed, uint64(id), r.variant())
-		if err != nil {
-			return nil, err
-		}
-		return protocolProcess{p}, nil
-	}, 0)
-	if err != nil {
-		return err
-	}
-	return ranksByLabel(labels, sum.Decisions, ranks)
-}
-
-// protocolProcess adapts the public Protocol to transport.Process.
-type protocolProcess struct{ p *bil.Protocol }
-
-func (a protocolProcess) Send(round int) []byte { return a.p.Send(round) }
-func (a protocolProcess) Deliver(round int, msgs []proto.Message) {
-	conv := make([]bil.Message, len(msgs))
-	for i, m := range msgs {
-		conv[i] = bil.Message{From: uint64(m.From), Payload: m.Payload}
-	}
-	a.p.Deliver(round, conv)
-}
-func (a protocolProcess) Decided() (int, bool) { return a.p.Decided() }
-func (a protocolProcess) Done() bool           { return a.p.Done() }
-
-// ranksByLabel aligns decisions (ascending by ID) with the batch's label
-// order, filling ranks. Epoch batches are failure-free renaming instances,
-// so every label must have decided; anything else is a runner bug surfaced
-// as an error.
-func ranksByLabel(labels []proto.ID, decisions []proto.Decision, ranks []int) error {
-	if len(decisions) != len(labels) {
-		return fmt.Errorf("namesvc: %d decisions for a batch of %d", len(decisions), len(labels))
-	}
-	byID := make(map[proto.ID]int, len(decisions))
-	for _, d := range decisions {
-		byID[d.ID] = d.Name
-	}
-	for i, l := range labels {
-		name, ok := byID[l]
-		if !ok {
-			return fmt.Errorf("namesvc: label %v missing from decisions", l)
 		}
 		ranks[i] = name
 	}

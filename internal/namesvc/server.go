@@ -51,28 +51,22 @@ type CommitGate interface {
 	WaitCommitted(shard int) error
 }
 
-// wireRoleReporter is the optional CommitGate extension for gates that
-// know the node's replication role: the welcome reports it plus the
-// leader's client address so clients can redirect before the first write.
-// Gates without it (GroupGate) are standalone.
-type wireRoleReporter interface {
+// ReplGate is the optional CommitGate extension for gates that front a
+// replication group. NewServer resolves it once, from the configured Gate;
+// a gate without it (GroupGate) makes a standalone server, which reports
+// RoleStandalone, serves reads unconditionally and adds nothing to stats.
+type ReplGate interface {
+	// WireRole is the node's replication role plus the leader's client
+	// address: the welcome carries both so clients can redirect before the
+	// first write.
 	WireRole() (Role, string)
-}
-
-// wireReadLeaser is the optional CommitGate extension that gates reads:
-// a leader whose check-quorum lease has gone stale must not answer
-// stats/journal reads (it may already be deposed), so those ops are
-// rejected with RejectNotLeader until the lease is fresh again — this is
-// what makes leader reads linearizable. Gates without it serve reads
-// unconditionally.
-type wireReadLeaser interface {
+	// ReadLeaseValid gates stats/journal reads: a leader whose check-quorum
+	// lease has gone stale may already be deposed, so those ops are rejected
+	// with RejectNotLeader until the lease is fresh again — this is what
+	// makes leader reads linearizable.
 	ReadLeaseValid() bool
-}
-
-// wireReplStats is the optional CommitGate extension that annotates the
-// stats reply with replication status: term, role, the reason for the
-// last term/role change, and the compaction floor.
-type wireReplStats interface {
+	// WireReplStats annotates the stats reply: term, role, the reason for
+	// the last term/role change, and the compaction floor.
 	WireReplStats() (term uint64, role Role, reason string, compactFloor uint64)
 }
 
@@ -163,7 +157,7 @@ func (cfg *ServerConfig) normalize() error {
 }
 
 // Server puts a Service on a listener: it speaks the blnamed wire protocol,
-// runs one group-commit epoch loop per shard, and renders connection
+// runs the shards' group-commit epoch loops, and renders connection
 // failures onto the service's crash-absorption semantics — a connection
 // that dies with queued acquires cancels them (or lets their grants be
 // absorbed), and every name the connection held is released, so names never
@@ -184,8 +178,9 @@ func (cfg *ServerConfig) normalize() error {
 type Server struct {
 	cfg     ServerConfig
 	svc     *Service
-	workers int             // epoch loops; shard s is driven by worker s%workers
-	kicks   []chan struct{} // one binary semaphore per epoch worker
+	repl    ReplGate        // cfg.Gate's replication extension; nil when standalone
+	workers int             // epoch loops; shard s is driven by loop s%workers
+	kicks   []chan struct{} // one binary semaphore per epoch loop
 	deliver []shardDelivery
 	// manualMu serializes manual epoch closes per shard (ManualEpochs mode):
 	// a shard's delivery scratch is owned by whoever closes its epochs, and
@@ -213,10 +208,10 @@ type Server struct {
 
 // NewServer builds a Server and starts its epoch loops: one per shard when
 // cores allow (or when a batching window is configured, which is per-shard
-// state), otherwise a bounded pool of GOMAXPROCS epoch workers each owning
-// a stripe of shards — on machines with fewer cores than shards, one wakeup
-// then drains several shards, instead of paying a goroutine handoff per
-// shard per burst for parallelism the hardware cannot deliver.
+// state), otherwise GOMAXPROCS loops each owning a stripe of shards — on
+// machines with fewer cores than shards, one wakeup then drains several
+// shards, instead of paying a goroutine handoff per shard per burst for
+// parallelism the hardware cannot deliver.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
@@ -240,6 +235,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		conns:    make(map[net.Conn]chan struct{}),
 		holders:  make(map[int]*svcConn),
 	}
+	s.repl, _ = cfg.Gate.(ReplGate)
 	for i := range s.deliver {
 		d := &s.deliver[i]
 		d.pend, d.fly = newGrantBatch(), newGrantBatch()
@@ -256,11 +252,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	for w := range s.kicks {
 		s.kicks[w] = make(chan struct{}, 1)
 		s.wg.Add(1)
-		if workers == shards {
-			go s.shardLoop(w)
-		} else {
-			go s.epochWorker(w)
-		}
+		go s.epochLoop(w)
 	}
 	return s, nil
 }
@@ -376,18 +368,23 @@ func (s *Server) closeManualEpoch(shard int) (epoch uint64, granted int, err err
 	return s.svc.ShardEpoch(shard), granted, err
 }
 
-// shardLoop closes epochs on one shard whenever work arrives: group commit
-// with an optional adaptive batching window. During the window the loop
-// keeps listening for kicks and closes the epoch as soon as the batch can
-// no longer grow (BatchFull) instead of waiting the timer out — under
-// bursts the window costs nothing, while trickles still coalesce. It
-// drains — repeated CloseEpoch calls — because requests that queued during
-// an epoch's renaming run form the next batch without another kick. The
-// staged grants are delivered connection by connection outside the shard
-// lock — at the end of the drain, or by the shard's delivery goroutine.
-func (s *Server) shardLoop(shard int) {
+// epochLoop drives the stripe of shards loop w owns (w, w+workers, …): on a
+// kick it drains every owned shard in turn, so when shards outnumber cores a
+// burst touching several shards costs one goroutine handoff, not one per
+// shard (checking a quiet shard is one short lock acquisition). With a
+// batching window — NewServer then gives every shard its own loop — the kick
+// first opens the window: the loop keeps listening for kicks and closes the
+// epoch as soon as the batch can no longer grow (BatchFull) instead of
+// waiting the timer out, so under bursts the window costs nothing while
+// trickles still coalesce.
+func (s *Server) epochLoop(w int) {
 	defer s.wg.Done()
-	defer s.stopDelivery(shard)
+	shards := s.svc.Shards()
+	defer func() {
+		for shard := w; shard < shards; shard += s.workers {
+			s.stopDelivery(shard)
+		}
+	}()
 	var timer *time.Timer
 	if s.cfg.EpochInterval > 0 {
 		timer = time.NewTimer(s.cfg.EpochInterval)
@@ -400,9 +397,9 @@ func (s *Server) shardLoop(shard int) {
 		select {
 		case <-s.stop:
 			return
-		case <-s.kicks[shard]:
+		case <-s.kicks[w]:
 		}
-		if timer != nil && !s.svc.BatchFull(shard) {
+		if timer != nil && !s.svc.BatchFull(w) {
 			timer.Reset(s.cfg.EpochInterval)
 			for waiting := true; waiting; {
 				select {
@@ -410,8 +407,8 @@ func (s *Server) shardLoop(shard int) {
 					return
 				case <-timer.C:
 					waiting = false
-				case <-s.kicks[shard]:
-					if s.svc.BatchFull(shard) {
+				case <-s.kicks[w]:
+					if s.svc.BatchFull(w) {
 						if !timer.Stop() {
 							<-timer.C
 						}
@@ -420,46 +417,26 @@ func (s *Server) shardLoop(shard int) {
 				}
 			}
 		}
-		s.drainShard(shard)
-	}
-}
-
-// epochWorker drives the stripe of shards worker w owns (w, w+workers, …)
-// when shards outnumber cores: one wakeup drains every owned shard in turn,
-// so a burst touching several shards costs one goroutine handoff, not one
-// per shard. Checking a quiet shard is one short lock acquisition, so the
-// scan costs nothing compared to the epochs it batches.
-func (s *Server) epochWorker(w int) {
-	defer s.wg.Done()
-	defer func() {
-		for shard := w; shard < s.svc.Shards(); shard += s.workers {
-			s.stopDelivery(shard)
-		}
-	}()
-	for {
-		select {
-		case <-s.stop:
-			return
-		case <-s.kicks[w]:
-		}
-		for shard := w; shard < s.svc.Shards(); shard += s.workers {
+		for shard := w; shard < shards; shard += s.workers {
 			s.drainShard(shard)
 		}
 	}
 }
 
 // drainShard closes epochs on one shard until nothing more can be
-// assigned. With delivery inline (no commit gate) it then delivers every
-// staged grant in one pass. Coalescing the delivery across the whole drain
-// — not just one epoch — is safe because the drain is self-limiting: it
-// ends once the shard's queue is empty, and the queue cannot refill off
-// this shard's own grants until they are delivered; it buys one outbox lock
-// and one writer wakeup per connection per drain, no matter how many epochs
-// the drain closed. A deep backlog (many epochs' worth queued up front) is
-// delivered in maxStagedGrants slices instead, so the first epoch's grants
-// never wait on the whole backlog. Behind a gate the drain only stages:
-// closeStaged hands the grants to the shard's delivery goroutine, which
-// coalesces everything staged during one commit wait into the next.
+// assigned — requests that queued during an epoch's renaming run form the
+// next batch without another kick. With delivery inline (no commit gate) it
+// then delivers every staged grant in one pass. Coalescing the delivery
+// across the whole drain — not just one epoch — is safe because the drain is
+// self-limiting: it ends once the shard's queue is empty, and the queue
+// cannot refill off this shard's own grants until they are delivered; it
+// buys one outbox lock and one writer wakeup per connection per drain, no
+// matter how many epochs the drain closed. A deep backlog (many epochs'
+// worth queued up front) is delivered in maxStagedGrants slices instead, so
+// the first epoch's grants never wait on the whole backlog. Behind a gate
+// the drain only stages: closeStaged hands the grants to the shard's
+// delivery goroutine, which coalesces everything staged during one commit
+// wait into the next.
 func (s *Server) drainShard(shard int) {
 	d := &s.deliver[shard]
 	if !d.piped {
@@ -949,8 +926,8 @@ func (s *Server) handle(conn net.Conn) {
 		return
 	}
 	role, leader := RoleStandalone, ""
-	if rr, ok := s.cfg.Gate.(wireRoleReporter); ok {
-		role, leader = rr.WireRole()
+	if s.repl != nil {
+		role, leader = s.repl.WireRole()
 	}
 	in.w.Reset()
 	appendWelcome(&in.w, s.svc.Shards(), s.svc.ShardCap(), role, leader)
@@ -1038,7 +1015,9 @@ func (s *Server) ingestFrame(c *svcConn, in *ingest, body []byte) (fatal bool) {
 			return false
 		}
 		st := s.svc.Stats()
-		s.annotateReplStats(&st)
+		if s.repl != nil {
+			st.ReplTerm, st.ReplRole, st.ElectionReason, st.CompactFloor = s.repl.WireReplStats()
+		}
 		in.w.Reset()
 		appendStatsRep(&in.w, tag, st)
 		in.pushResp()
@@ -1174,26 +1153,17 @@ func (s *Server) admitWrite(in *ingest, tag uint64) bool {
 	return false
 }
 
-// admitRead applies the gate's read lease (if it has one) to a stats or
+// admitRead applies the replication gate's read lease to a stats or
 // journal op: a lease-stale leader rejects the read with RejectNotLeader
 // rather than answer from possibly-deposed state.
 func (s *Server) admitRead(in *ingest, tag uint64) bool {
-	rl, ok := s.cfg.Gate.(wireReadLeaser)
-	if !ok || rl.ReadLeaseValid() {
+	if s.repl == nil || s.repl.ReadLeaseValid() {
 		return true
 	}
 	in.w.Reset()
 	appendReject(&in.w, tag, RejectNotLeader, "")
 	in.pushResp()
 	return false
-}
-
-// annotateReplStats merges the gate's replication status (if it reports
-// one) into a stats reply.
-func (s *Server) annotateReplStats(st *Stats) {
-	if rs, ok := s.cfg.Gate.(wireReplStats); ok {
-		st.ReplTerm, st.ReplRole, st.ElectionReason, st.CompactFloor = rs.WireReplStats()
-	}
 }
 
 // submitBurst pushes one decoded burst into the service: releases first

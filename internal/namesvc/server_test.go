@@ -3,6 +3,7 @@ package namesvc
 import (
 	"errors"
 	"net"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -886,5 +887,109 @@ func TestManualEpochDeliversSynchronouslyBehindGate(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("no epoch reply after the commit")
+	}
+}
+
+// TestServerSchedulerShapes runs the one epoch loop in each shape NewServer
+// gives it — a stripe of shards per loop when shards outnumber cores (with
+// inline and with piped delivery), one loop per shard under a batching
+// window, and no loops at all under ManualEpochs — and requires the same
+// outcome from each: every acquire granted exactly once, and Close
+// returning with every piped shard's deliverer told to stop. It is not
+// parallel: the striped shape needs GOMAXPROCS(1) while NewServer runs.
+func TestServerSchedulerShapes(t *testing.T) {
+	const shards, clients = 4, 64
+	cases := []struct {
+		name    string
+		procs   int // GOMAXPROCS while NewServer runs; 0 leaves it alone
+		scfg    ServerConfig
+		gate    bool
+		workers int
+	}{
+		{name: "striped", procs: 1, workers: 1},
+		{name: "striped behind a gate", procs: 1, gate: true, workers: 1},
+		{name: "one loop per shard with a window", scfg: ServerConfig{EpochInterval: time.Millisecond}, workers: shards},
+		{name: "manual epochs", scfg: ServerConfig{ManualEpochs: true}, gate: true, workers: 0},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			svc, err := New(Config{Shards: shards, ShardCap: clients, Seed: 11})
+			if err != nil {
+				t.Fatal(err)
+			}
+			scfg := tc.scfg
+			scfg.Service = svc
+			scfg.Logf = t.Logf
+			if tc.gate {
+				scfg.Gate = GroupGate(svc) // volatile service: every wait returns at once
+			}
+			if tc.procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(tc.procs))
+			}
+			srv, err := NewServer(scfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if srv.workers != tc.workers {
+				t.Fatalf("%d epoch loops, want %d", srv.workers, tc.workers)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			served := make(chan error, 1)
+			go func() { served <- srv.Serve(ln) }()
+
+			c := dialPipeline(t, ln.Addr().String())
+			ids := make([]uint64, clients)
+			for i := range ids {
+				ids[i] = uint64(i + 1)
+			}
+			c.acquire(t, ids...)
+			if scfg.ManualEpochs {
+				for shard := 0; shard < shards; shard++ {
+					if _, _, err := c.EpochSync(shard); err != nil {
+						t.Fatalf("closing shard %d: %v", shard, err)
+					}
+				}
+			}
+			waitFor(t, "every grant", func() bool { return len(c.seen(t)) == clients })
+			// One callback per acquire, so the count is exactly-once per
+			// request; the names must be distinct.
+			byName, touched := map[int]bool{}, map[int]bool{}
+			for _, g := range c.seen(t) {
+				if byName[g.Name] {
+					t.Fatalf("grant %+v repeats a name", g)
+				}
+				byName[g.Name], touched[g.Shard] = true, true
+			}
+			c.mu.Lock()
+			errs := c.errs
+			c.mu.Unlock()
+			if len(errs) != 0 || len(touched) != shards {
+				t.Fatalf("errors %v; %d of %d shards granted", errs, len(touched), shards)
+			}
+
+			ln.Close()
+			closed := make(chan struct{})
+			go func() { srv.Close(); close(closed) }()
+			select {
+			case <-closed:
+			case <-time.After(10 * time.Second):
+				t.Fatal("Close did not return: a deliverer was never stopped")
+			}
+			if err := <-served; err != nil {
+				t.Errorf("serve: %v", err)
+			}
+			for i := range srv.deliver {
+				d := &srv.deliver[i]
+				if want := tc.gate && tc.workers > 0; d.piped != want {
+					t.Errorf("shard %d piped = %v, want %v", i, d.piped, want)
+				}
+				if d.piped && !d.stop {
+					t.Errorf("shard %d: deliverer was not told to stop", i)
+				}
+			}
+		})
 	}
 }

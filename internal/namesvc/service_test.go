@@ -196,7 +196,7 @@ func TestServiceAbsorbsVanishedRequester(t *testing.T) {
 }
 
 // TestServiceAbsorbedBatchLeavesQueueRunnable pins the epoch-driver
-// contract behind Server.shardLoop: when an epoch's grants are all
+// contract behind Server.drainShard: when an epoch's grants are all
 // absorbed (every requester in the batch vanished), EpochRunnable still
 // reports the shard drainable, and the next CloseEpoch serves the
 // survivors' requests — nobody is stranded behind a dead batch.

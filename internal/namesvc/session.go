@@ -115,7 +115,7 @@ type sessOp struct {
 
 // Session is a resilient client: a Client that survives the death of its
 // connection. It reconnects with exponential backoff + jitter, follows
-// leader hints (the wire-v4 welcome role and RejectNotLeader redirects),
+// leader hints (the welcome's role and RejectNotLeader redirects),
 // bounds every op with a timeout, and — the part that keeps the
 // exactly-once story intact — re-attaches every acknowledged grant via
 // the reclaim op before resubmitting any queued work, so a grant
@@ -123,17 +123,27 @@ type sessOp struct {
 //
 // Retry safety: acquires are safely retried because an undelivered grant
 // is revoked by the server's connection-death absorption before its name
-// can be re-granted; releases are retried with NotHeld-after-retry
-// treated as success (the release landed, or the grant was revoked —
-// either way the end state holds); and a release can never free another
-// connection's grant because the server validates releases against the
-// connection's own holdings.
+// can be re-granted, and a release can never free another connection's
+// grant because the server validates releases against the connection's own
+// holdings.
+//
+// Release contract: a release of a name this session was granted never
+// fails NotHeld. When the server revoked the grant while the session was
+// away (reported through OnGrantLost), the release completes with nil
+// whether it was issued before or after the report — the name is not held
+// here, which is the release's goal — and one issued after the report
+// never reaches the wire, so it cannot free a newer grant of the same
+// name: the session keeps one credit per lost grant until a release
+// consumes it. A retried release answered NotHeld succeeds for the same
+// reason (the first attempt landed and its ack was lost). Only a release of
+// a name the session never held, or has already released, fails NotHeld.
 type Session struct {
 	cfg SessionConfig
 
 	mu           sync.Mutex
 	c            *Client        // current connection; nil while reconnecting
 	held         map[int]uint64 // acknowledged grants: name -> client
+	lost         map[int]int    // grants reported lost and not yet released, per name
 	queue        []*sessOp      // awaiting (re)submission
 	inflight     map[*sessOp]struct{}
 	hint         string // freshest leader hint
@@ -160,6 +170,7 @@ func DialSession(cfg SessionConfig) (*Session, error) {
 	s := &Session{
 		cfg:      cfg,
 		held:     make(map[int]uint64),
+		lost:     make(map[int]int),
 		inflight: make(map[*sessOp]struct{}),
 		jitter:   rng.New(rng.DeriveSeed(cfg.Seed, 0x5e55)),
 		done:     make(chan struct{}),
@@ -234,7 +245,9 @@ func (s *Session) Acquire(client uint64, cb func(Grant, error)) error {
 	return s.start(&sessOp{kind: sessAcquire, client: client, gcb: cb})
 }
 
-// Release returns a granted name; cb observes completion.
+// Release returns a granted name; cb observes completion (see the release
+// contract on Session). For a grant already reported lost, cb runs before
+// Release returns.
 func (s *Session) Release(name int, cb func(error)) error {
 	return s.start(&sessOp{kind: sessRelease, name: name, ecb: cb})
 }
@@ -339,6 +352,13 @@ func (s *Session) start(op *sessOp) error {
 		s.mu.Unlock()
 		return ErrSessionClosed
 	}
+	if _, held := s.held[op.name]; op.kind == sessRelease && !held && s.takeLostLocked(op.name) {
+		// Nothing of this grant is left at the server; whatever holds the
+		// name there now is a newer grant, which this must not free.
+		s.mu.Unlock()
+		op.ecb(nil)
+		return nil
+	}
 	op.deadline = time.Now().Add(s.cfg.OpTimeout)
 	if s.c == nil {
 		s.queue = append(s.queue, op)
@@ -434,11 +454,11 @@ func (s *Session) failOrRetryLocked(op *sessOp, err error) {
 		s.kickReconnectLocked(rej.Msg)
 		s.mu.Unlock()
 	case errors.As(err, &rej) && rej.Code == RejectNotHeld &&
-		op.kind == sessRelease && op.attempts > 1:
-		// A retried release answered NotHeld: either the first attempt
-		// landed and the ack was lost, or the server revoked the grant
-		// while we were away. Both end with the name not held here —
-		// the release's goal — so this is success.
+		op.kind == sessRelease && (s.takeLostLocked(op.name) || op.attempts > 1):
+		// The release contract (see Session): the server revoked the grant
+		// while we were away, with this release already issued, or an
+		// earlier attempt landed and its ack was lost. Both end with the
+		// name not held here — the release's goal — so this is success.
 		delete(s.held, op.name)
 		s.mu.Unlock()
 		op.ecb(nil)
@@ -451,6 +471,18 @@ func (s *Session) failOrRetryLocked(op *sessOp, err error) {
 		s.mu.Unlock()
 		s.failOp(op, err)
 	}
+}
+
+// takeLostLocked consumes one lost-grant credit for name, reporting
+// whether there was one. s.mu held.
+func (s *Session) takeLostLocked(name int) bool {
+	if s.lost[name] == 0 {
+		return false
+	}
+	if s.lost[name]--; s.lost[name] == 0 {
+		delete(s.lost, name)
+	}
+	return true
 }
 
 // failOp invokes op's callback with err.
@@ -605,6 +637,7 @@ func (s *Session) reattach(c *Client) bool {
 				// away; surface it so duplicate accounting stays exact.
 				s.mu.Lock()
 				delete(s.held, g.name)
+				s.lost[g.name]++
 				s.counters.Lost++
 				s.mu.Unlock()
 				s.cfg.Logf("session: grant %d (client %d) lost across reconnect: %v",

@@ -230,7 +230,10 @@ func TestSessionReclaimStealBeatsTeardown(t *testing.T) {
 // TestSessionGrantLostReporting pins the other side of the coin: when
 // the server's teardown legitimately wins (it revoked the grants before
 // the session could reclaim), the session reports each lost grant via
-// OnGrantLost and drops it from Held — exact accounting either way.
+// OnGrantLost and drops it from Held — exact accounting either way — and
+// the caller's release of a grant it was just told it lost succeeds (the
+// Session release contract), while a release of a name the session never
+// held, or already released, still fails NotHeld.
 func TestSessionGrantLostReporting(t *testing.T) {
 	t.Parallel()
 	svc, addr := startServer(t, Config{ShardCap: 16, Seed: 6})
@@ -250,35 +253,91 @@ func TestSessionGrantLostReporting(t *testing.T) {
 	}
 	defer func() { s.Close(); s.Wait() }()
 
-	g, err := s.AcquireSync(7)
-	if err != nil {
-		t.Fatalf("acquire: %v", err)
+	const k = 4
+	granted := make(map[int]bool, k)
+	for i := 0; i < k; i++ {
+		g, err := s.AcquireSync(uint64(7 + i))
+		if err != nil {
+			t.Fatalf("acquire %d: %v", i, err)
+		}
+		granted[g.Name] = true
 	}
-	// Reset both sides: the server sees the death immediately and its
-	// teardown revokes the grant before the session can reclaim. The
-	// session only notices a dead connection when an op fails, so wait
-	// for the revocation first, then drive ops until the reconnect (and
-	// with it the reclaim pass) has happened.
+	// Reset both sides with the server alive: it sees the death immediately
+	// and its teardown revokes the grants before the session can reclaim.
+	// The session only notices a dead connection when an op fails, so wait
+	// for the revocation first, then drive ops until the reconnect's
+	// reclaim pass has reported every grant lost.
 	link.ResetConns()
-	waitFor(t, "teardown revoked the grant", func() bool {
+	waitFor(t, "teardown revoked the grants", func() bool {
 		return svc.Stats().Assigned == 0
 	})
-	waitFor(t, "session reconnected", func() bool {
+	waitFor(t, "every grant reported lost", func() bool {
 		s.StatsSync()
-		return s.Counters().Reconnects >= 1
+		return s.Counters().Lost == k
 	})
-	select {
-	case name := <-lost:
-		if name != g.Name {
-			t.Fatalf("lost %d, want %d", name, g.Name)
+	for i := 0; i < k; i++ {
+		if name := <-lost; !granted[name] {
+			t.Fatalf("lost %d, want one of %v", name, granted)
 		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("OnGrantLost never fired")
 	}
 	if held := s.Held(); len(held) != 0 {
 		t.Fatalf("held %v after revocation", held)
 	}
-	if c := s.Counters(); c.Lost != 1 {
-		t.Fatalf("counters %+v: want Lost=1", c)
+
+	// The release contract. A name the session never held fails NotHeld.
+	notHeld := func(what string, name int) {
+		t.Helper()
+		var rej *RejectError
+		if err := s.ReleaseSync(name); !errors.As(err, &rej) || rej.Code != RejectNotHeld {
+			t.Fatalf("%s %d: %v, want NotHeld", what, name, err)
+		}
+	}
+	neverHeld := 1
+	for granted[neverHeld] {
+		neverHeld++
+	}
+	notHeld("release of never-held", neverHeld)
+	names := make([]int, 0, k)
+	for name := range granted {
+		names = append(names, name)
+	}
+	early, late := names[:k/2], names[k/2:]
+	// A lost grant released before its name is granted again succeeds
+	// without reaching the server.
+	before := svc.Stats().Releases
+	for _, name := range early {
+		if err := s.ReleaseSync(name); err != nil {
+			t.Fatalf("release of lost grant %d: %v", name, err)
+		}
+	}
+	if after := svc.Stats().Releases; after != before {
+		t.Fatalf("releases of lost grants reached the server: %d -> %d", before, after)
+	}
+	// Every name is free again, so the next k acquires are granted the same
+	// names. Releasing a late name twice — the lost grant and the new one,
+	// indistinguishable by name — settles both and frees the name once.
+	for i := 0; i < k; i++ {
+		g, err := s.AcquireSync(uint64(20 + i))
+		if err != nil || !granted[g.Name] {
+			t.Fatalf("re-acquire %d: %v, %v; want one of %v", i, g, err, granted)
+		}
+	}
+	for _, name := range late {
+		for _, what := range []string{"first", "second"} {
+			if err := s.ReleaseSync(name); err != nil {
+				t.Fatalf("%s release of re-granted %d: %v", what, name, err)
+			}
+		}
+	}
+	for _, name := range early {
+		if err := s.ReleaseSync(name); err != nil {
+			t.Fatalf("release of re-granted %d: %v", name, err)
+		}
+	}
+	for _, name := range names {
+		notHeld("release of already-released", name)
+	}
+	if st := svc.Stats(); st.Assigned != 0 || st.Releases != before+k {
+		t.Fatalf("after settling: %d assigned, %d releases, want 0 and %d", st.Assigned, st.Releases, before+k)
 	}
 }

@@ -35,17 +35,11 @@ const (
 	opJournalRep byte = 23 // server → client: tag, window total, start, entries
 )
 
-// svcProtocolVersion is the hello/welcome handshake version. Version 2
-// added reclaim (the restart handshake for durable servers) and the
-// per-shard digests + WAL counters in the stats reply. Version 3 added
-// the manual-epoch close op and the paged journal fetch, the replay
-// surface the deterministic simulator's differential harness drives.
-// Version 4 added the replication role and leader hint to the welcome
-// and the RejectNotLeader redirect (its message is the leader's client
-// address), so clients follow a failover instead of erroring out.
-// Version 5 extended the stats reply with replication status — term,
-// role, last election reason, compaction floor — so checkers assert
-// term stability over the wire instead of grepping logs.
+// svcProtocolVersion is the one protocol version accepted: the client's
+// hello carries it and a server rejects any other, the welcome echoes it
+// along with the namespace shape (shards, names per shard) and the node's
+// replication role plus leader hint, so a client can redirect before its
+// first write.
 const svcProtocolVersion = 5
 
 // svcMaxFrame bounds any frame of the service protocol; every op is a few
@@ -111,7 +105,7 @@ func decodeSvcHello(body []byte) error {
 	return nil
 }
 
-// Role is a server's replication role, reported in the welcome (wire v4).
+// Role is a server's replication role, reported in the welcome.
 type Role uint64
 
 const (

@@ -38,9 +38,9 @@ type Result struct {
 	Trace *Trace
 }
 
-// artifact is the serialized form: the BENCH_namesvc.json table shape plus
-// the raw histogram snapshots, so simulator artifacts and blload -json
-// artifacts merge through the same stats.Histogram path. Deliberately no
+// artifact is the serialized form: titled tables of rows plus the raw
+// histogram snapshots, so simulator artifacts and blload -json artifacts
+// merge through the same stats.Histogram path. Deliberately no
 // date or host fields — the artifact must be byte-identical for a fixed
 // (scenario, seed), and that property is test-enforced.
 type artifact struct {
