@@ -54,7 +54,7 @@ func TestEpochZeroAllocs(t *testing.T) {
 }
 
 // TestClientSteadyStateZeroAllocs guards the client's allocation-free fast
-// path: once the pending map, the frame scratch, and the read buffer are
+// path: once the pending table, the frame scratch, and the read buffer are
 // warm, a full acquire→grant→release→ack round trip through Acquire /
 // Release / Flush and the read loop performs zero heap allocations on the
 // client. The peer is a minimal in-process responder that answers from

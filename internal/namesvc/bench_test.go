@@ -106,17 +106,25 @@ func BenchmarkLedgerScatteredRelease(b *testing.B) {
 	}
 }
 
-// BenchmarkServerPipeline measures the full wire round trip: a pipelining
-// client keeps a window of acquires in flight over loopback TCP; every
+// BenchmarkServerPipeline measures the full wire round trip: pipelining
+// clients keep a window of acquires in flight over loopback TCP; every
 // grant is released immediately. One op is one acquire→grant→release over
 // the socket. The callbacks are created once and reused, so the allocation
 // report measures the client/server data plane, not the harness; the
 // benchmark fails if the whole round trip — client fast path, server burst
 // ingestion, epoch, coalesced delivery — averages a heap allocation per op
 // (the strict client-side zero is pinned by
-// TestClientSteadyStateZeroAllocs).
+// TestClientSteadyStateZeroAllocs). conns=1/shards=1 is the single-pipe
+// cost; conns=2/shards=2 has two connections' bursts and two shards'
+// deliveries crossing, which is where a lock shared between connections or
+// between shards shows.
 func BenchmarkServerPipeline(b *testing.B) {
-	svc, err := New(Config{Shards: 1, ShardCap: 1 << 14, Seed: 1})
+	b.Run("conns=1/shards=1", func(b *testing.B) { benchServerPipeline(b, 1, 1) })
+	b.Run("conns=2/shards=2", func(b *testing.B) { benchServerPipeline(b, 2, 2) })
+}
+
+func benchServerPipeline(b *testing.B, conns, shards int) {
+	svc, err := New(Config{Shards: shards, ShardCap: 1 << 14, Seed: 1})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -137,13 +145,8 @@ func BenchmarkServerPipeline(b *testing.B) {
 			b.Errorf("serve: %v", err)
 		}
 	}()
-	c, err := Dial(ln.Addr().String(), ClientConfig{})
-	if err != nil {
-		b.Fatal(err)
-	}
-	defer c.Close()
 
-	const window = 256
+	const window = 256 // in flight across all connections
 	sem := make(chan struct{}, window)
 	var client atomic.Uint64
 	releaseCB := func(err error) {
@@ -152,30 +155,41 @@ func BenchmarkServerPipeline(b *testing.B) {
 		}
 		<-sem
 	}
-	acquireCB := func(g Grant, err error) {
+	clients := make([]*Client, conns)
+	acquireCBs := make([]func(Grant, error), conns)
+	for i := range clients {
+		c, err := Dial(ln.Addr().String(), ClientConfig{})
 		if err != nil {
-			b.Errorf("acquire: %v", err)
-			<-sem
-			return
+			b.Fatal(err)
 		}
-		c.Release(g.Name, releaseCB)
+		defer c.Close()
+		clients[i] = c
+		acquireCBs[i] = func(g Grant, err error) {
+			if err != nil {
+				b.Errorf("acquire: %v", err)
+				<-sem
+				return
+			}
+			c.Release(g.Name, releaseCB)
+		}
+	}
+	// Consecutive client IDs spread over the shards; connections take turns.
+	acquire := func(i int) {
+		sem <- struct{}{}
+		if err := clients[i%conns].Acquire(client.Add(1), acquireCBs[i%conns]); err != nil {
+			b.Fatal(err)
+		}
 	}
 	// Warm the window and the per-size epoch caches before measuring.
 	for i := 0; i < window; i++ {
-		sem <- struct{}{}
-		if err := c.Acquire(client.Add(1), acquireCB); err != nil {
-			b.Fatal(err)
-		}
+		acquire(i)
 	}
 	b.ReportAllocs()
 	var before, after runtime.MemStats
 	runtime.ReadMemStats(&before)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		sem <- struct{}{}
-		if err := c.Acquire(client.Add(1), acquireCB); err != nil {
-			b.Fatal(err)
-		}
+		acquire(i)
 		// Yield after each buffered acquire: on a single-P runtime a tight
 		// issuing loop starves the read goroutine and the in-process server
 		// of the CPU they need to drain the pipeline it fills; the yield is
@@ -189,9 +203,19 @@ func BenchmarkServerPipeline(b *testing.B) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	// Only meaningful once fixed warmup costs amortize away; calibration
-	// runs (and the CI -benchtime 1x smoke) are too short to judge.
-	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1<<16 && perOp >= 1 && !raceEnabled {
-		b.Errorf("pipelined round trip averaged %.2f allocs/op, want amortized < 1", perOp)
+	// runs (and the CI -benchtime 1x smoke) are too short to judge. One pipe
+	// settles on a few batch sizes and allocates nothing. Two shards fed by
+	// two connections wander over more sizes than a shard's cohort cache
+	// keeps (cohortEngineCacheCap), so the rebuilt cohorts — the only
+	// allocation site there is (memprofile: 99.6 % of objects) — cost up to
+	// ~1.1 objects per op; a per-op allocation on the data plane would add a
+	// whole one on top, which is what the bound of 2 catches.
+	maxAllocs := 1.0
+	if conns > 1 {
+		maxAllocs = 2
+	}
+	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1<<16 && perOp >= maxAllocs && !raceEnabled {
+		b.Errorf("pipelined round trip averaged %.2f allocs/op, want amortized < %v", perOp, maxAllocs)
 	}
 	elapsed := b.Elapsed().Seconds()
 	if elapsed > 0 {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"net"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"ballsintoleaves/internal/wire"
@@ -55,9 +54,10 @@ func (c *ClientConfig) normalize() {
 }
 
 // pendingOp is one in-flight request awaiting its response frame. It is
-// stored by value in the pending map, whose buckets are recycled across
-// deletes — so registering and completing operations leaves no per-op
-// garbage on the steady state (TestClientSteadyStateZeroAllocs).
+// stored by value in a slot of the client's pending table, and slots are
+// recycled through a free list — so registering and completing operations
+// leaves no per-op garbage on the steady state
+// (TestClientSteadyStateZeroAllocs).
 type pendingOp struct {
 	onGrant   func(Grant, error)
 	onRelease func(error)
@@ -85,6 +85,20 @@ func (p pendingOp) fail(err error) {
 	}
 }
 
+// pendingSlot is one entry of the client's pending table. A request's wire
+// tag is its slot index plus one in the high half and the slot's generation
+// at registration in the low half (still an opaque uvarint to the server,
+// which only echoes it). The generation is bumped every time the slot is
+// vacated, so a response whose tag is stale, duplicated, zero or out of
+// range matches no live slot and is dropped — it can never reach the
+// callback of the operation that reuses the slot.
+type pendingSlot struct {
+	op   pendingOp
+	gen  uint32
+	live bool
+	next int32 // next free slot while vacant; -1 ends the list
+}
+
 // Client is a pipelining connection to a name service Server. Operations
 // are asynchronous: they enqueue a frame and return; the response invokes
 // the callback on the client's read goroutine, so callbacks must be fast
@@ -106,11 +120,11 @@ type Client struct {
 	dirty bool
 	werr  error
 
-	mu      sync.Mutex
-	pending map[uint64]pendingOp
-	rerr    error
+	mu    sync.Mutex
+	slots []pendingSlot // pending table; a tag names a slot and its generation
+	free  int32         // head of the vacant-slot list; -1 when none
+	rerr  error
 
-	nextTag  atomic.Uint64
 	closed   chan struct{}
 	readDone chan struct{}
 	once     sync.Once
@@ -134,7 +148,7 @@ func Dial(addr string, cfg ClientConfig) (*Client, error) {
 		conn:     conn,
 		cfg:      cfg,
 		bw:       bufio.NewWriterSize(conn, 32<<10),
-		pending:  make(map[uint64]pendingOp),
+		free:     -1,
 		closed:   make(chan struct{}),
 		readDone: make(chan struct{}),
 	}
@@ -316,8 +330,8 @@ func (c *Client) Journal(shard, start, maxEntries int, cb func(JournalPage, erro
 // per-op path allocates nothing; registration comes first so a response
 // racing the flusher always finds its callback.
 func (c *Client) send(p pendingOp, op byte, arg, arg2, arg3 uint64) error {
-	tag := c.nextTag.Add(1)
-	if err := c.register(tag, p); err != nil {
+	tag, err := c.register(p)
+	if err != nil {
 		return err
 	}
 	c.wmu.Lock()
@@ -454,18 +468,26 @@ func (c *Client) StatsSync() (Stats, error) {
 	return r.st, r.err
 }
 
-// register records the pending op before its frame is buffered, so a
-// response racing the flusher always finds its callback.
-func (c *Client) register(tag uint64, op pendingOp) error {
+// register records the pending op in a vacant slot (growing the table only
+// when every slot is in flight) and returns its tag. It runs before the
+// frame is buffered, so a response racing the flusher always finds its
+// callback.
+func (c *Client) register(op pendingOp) (tag uint64, err error) {
 	c.mu.Lock()
+	defer c.mu.Unlock()
 	if c.rerr != nil {
-		err := c.rerr
-		c.mu.Unlock()
-		return err
+		return 0, c.rerr
 	}
-	c.pending[tag] = op
-	c.mu.Unlock()
-	return nil
+	i := c.free
+	if i >= 0 {
+		c.free = c.slots[i].next
+	} else {
+		i = int32(len(c.slots))
+		c.slots = append(c.slots, pendingSlot{})
+	}
+	sl := &c.slots[i]
+	sl.op, sl.live = op, true
+	return uint64(i+1)<<32 | uint64(sl.gen), nil
 }
 
 // writeLocked frames c.w's bytes into the write buffer; c.wmu must be held
@@ -491,11 +513,7 @@ func (c *Client) writeLocked(tag uint64) error {
 }
 
 // dropPending removes a registration whose frame never made it out.
-func (c *Client) dropPending(tag uint64) {
-	c.mu.Lock()
-	delete(c.pending, tag)
-	c.mu.Unlock()
-}
+func (c *Client) dropPending(tag uint64) { c.takePending(tag) }
 
 // Flush forces buffered frames onto the wire.
 func (c *Client) Flush() error {
@@ -630,15 +648,30 @@ func (c *Client) dispatch(body []byte) error {
 	return nil
 }
 
-// takePending claims the pending op for a tag.
+// takePending claims the pending op for a tag and vacates its slot; false
+// means the tag names no live slot of the current generation.
 func (c *Client) takePending(tag uint64) (pendingOp, bool) {
+	i, gen := tag>>32, uint32(tag)
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	p, ok := c.pending[tag]
-	if ok {
-		delete(c.pending, tag)
+	if i == 0 || i > uint64(len(c.slots)) {
+		return pendingOp{}, false
 	}
-	return p, ok
+	sl := &c.slots[i-1]
+	if !sl.live || sl.gen != gen {
+		return pendingOp{}, false
+	}
+	return c.vacateLocked(int32(i - 1)), true
+}
+
+// vacateLocked empties a live slot onto the free list, advancing its
+// generation, and returns the op it held; c.mu must be held.
+func (c *Client) vacateLocked(i int32) pendingOp {
+	sl := &c.slots[i]
+	p := sl.op
+	*sl = pendingSlot{gen: sl.gen + 1, next: c.free}
+	c.free = i
+	return p
 }
 
 // failAll fails every pending op and poisons the client.
@@ -647,8 +680,12 @@ func (c *Client) failAll(err error) {
 	if c.rerr == nil {
 		c.rerr = err
 	}
-	pend := c.pending
-	c.pending = make(map[uint64]pendingOp)
+	var pend []pendingOp
+	for i := range c.slots {
+		if c.slots[i].live {
+			pend = append(pend, c.vacateLocked(int32(i)))
+		}
+	}
 	c.mu.Unlock()
 	for _, p := range pend {
 		p.fail(err)

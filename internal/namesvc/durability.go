@@ -487,19 +487,28 @@ func (s *Service) syncShard(shardIdx int) error {
 // parked in fsyncs, being woken by a helper goroutine costs a scheduling
 // round the follower's acknowledgement would wait out (measured: more than
 // half of repl3-closed's throughput). It returns the lowest-numbered
-// failing shard's error.
+// failing shard's error. Passes are serialized on the pass's scratch — a
+// second caller's records are covered by a pass that starts after it
+// arrived, which is the one it runs itself.
 func (s *Service) SyncWAL() error {
-	var dirty []int
+	s.walSync.mu.Lock()
+	defer s.walSync.mu.Unlock()
+	dirty := s.walSync.dirty[:0]
 	for i, sh := range s.shards {
 		// sh.dur is fixed once Open returns; the store's counters are atomic.
 		if d := sh.dur; d != nil && d.store.Seq() > d.store.Synced() {
 			dirty = append(dirty, i)
 		}
 	}
+	s.walSync.dirty = dirty
 	if len(dirty) == 0 {
 		return nil
 	}
-	errs := make([]error, len(dirty))
+	errs := s.walSync.errs[:0]
+	for range dirty {
+		errs = append(errs, nil)
+	}
+	s.walSync.errs = errs
 	var wg sync.WaitGroup
 	for k, i := range dirty[1:] {
 		wg.Add(1)

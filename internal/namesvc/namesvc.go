@@ -38,6 +38,7 @@ package namesvc
 import (
 	"fmt"
 	"runtime"
+	"sort"
 	"sync"
 
 	"ballsintoleaves/internal/proto"
@@ -174,12 +175,11 @@ type request struct {
 type shard struct {
 	mu      sync.Mutex
 	led     *ledger
-	pending []*request
-	index   map[uint64]*request // reqID -> queued request
-	queued  int                 // uncancelled entries in pending
-	nextID  uint64              // per-shard request ID counter
-	seed    uint64              // per-shard seed root for epoch derivation
-	runner  Runner              // this shard's private epoch engine
+	pending []*request // FIFO, so ascending by request ID (Cancel searches it)
+	queued  int        // uncancelled entries in pending
+	nextID  uint64     // per-shard request ID counter
+	seed    uint64     // per-shard seed root for epoch derivation
+	runner  Runner     // this shard's private epoch engine
 
 	labels   []proto.ID // epoch scratch: batch labels
 	ranks    []int      // epoch scratch: runner output
@@ -208,6 +208,14 @@ type Service struct {
 
 	// groupCommit is set in FsyncGroup mode: SyncGroup and SyncShard flush.
 	groupCommit bool
+	// walSync is SyncWAL's scratch: the dirty shards of the pass under way
+	// and their flush results, reused by every pass (a follower runs one per
+	// acknowledgement round).
+	walSync struct {
+		mu    sync.Mutex
+		dirty []int
+		errs  []error
+	}
 	// onRecord, when non-nil, observes every sealed WAL record as it is
 	// produced (under the shard lock) — the replication tap. Set once via
 	// SetRecordHook before any traffic.
@@ -254,7 +262,6 @@ func Open(cfg Config) (*Service, error) {
 	for i := range s.shards {
 		s.shards[i] = &shard{
 			led:    newLedger(cfg.ShardCap, cfg.Journal, cfg.JournalLimit),
-			index:  make(map[uint64]*request),
 			seed:   rng.DeriveSeed(cfg.Seed, shardSalt+uint64(i)),
 			runner: forkRunner(cfg.Runner),
 		}
@@ -328,7 +335,6 @@ func (sh *shard) enqueueLocked(client uint64, sink GrantNotifier) uint64 {
 		req = &request{id: id, client: client, sink: sink}
 	}
 	sh.pending = append(sh.pending, req)
-	sh.index[id] = req
 	sh.queued++
 	sh.acquires++
 	if ea, ok := sink.(enqueueAware); ok {
@@ -411,15 +417,21 @@ func (s *Service) Cancel(client, reqID uint64) bool {
 	sh := s.shards[s.Shard(client)]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
-	req, ok := sh.index[reqID]
-	if !ok || req.client != client {
+	// pending is in ascending request-ID order — IDs are assigned as requests
+	// are appended, and epochs only remove a prefix or filter in place — and
+	// a granted request has left it, so a binary search is the whole lookup.
+	i := sort.Search(len(sh.pending), func(i int) bool { return sh.pending[i].id >= reqID })
+	if i == len(sh.pending) {
+		return false
+	}
+	req := sh.pending[i]
+	if req.id != reqID || req.client != client || req.cancelled {
 		return false
 	}
 	req.cancelled = true
 	// Drop the caller's sink now (it can pin a whole connection's state);
 	// the struct itself is recycled by the next CloseEpoch's filter pass.
 	req.sink = nil
-	delete(sh.index, reqID)
 	sh.queued--
 	return true
 }
@@ -565,9 +577,8 @@ func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 
-	// Drop cancelled requests (their index entries are already gone,
-	// their structs go back to the pool), then snapshot the batch: FIFO
-	// prefix, bounded by the free pool.
+	// Drop cancelled requests (their structs go back to the pool), then
+	// snapshot the batch: FIFO prefix, bounded by the free pool.
 	kept := sh.pending[:0]
 	for _, r := range sh.pending {
 		if r.cancelled {
@@ -613,7 +624,6 @@ func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 	for i, req := range batch {
 		local := freeSnap[ranks[i]-1]
 		sh.led.assign(epoch, req.id, req.client, local)
-		delete(sh.index, req.id)
 		g := Grant{
 			ReqID:  req.id,
 			Client: req.client,
@@ -760,8 +770,9 @@ type Stats struct {
 	// Replication status, filled by the Server from its commit gate (the
 	// Service itself knows nothing of replication): the node's current
 	// term and role, why it last changed term or role (for example
-	// "won-election", "saw-higher-term", "check-quorum-stepdown"), and
-	// the highest replication-log index it has compacted away. Zero /
+	// "won-election", "saw-higher-term", or "check-quorum-stepdown: "
+	// followed by each peer's last-heard age), and the highest
+	// replication-log index it has compacted away. Zero /
 	// empty / RoleStandalone on unreplicated servers.
 	ReplTerm       uint64
 	ReplRole       Role

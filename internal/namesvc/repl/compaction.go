@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"fmt"
+	"strings"
 	"time"
 
 	"ballsintoleaves/internal/namesvc"
@@ -46,9 +48,10 @@ func (n *Node) leaderTick(l *leaderState) {
 			return
 		}
 		if !n.leaseFreshLocked(l) {
-			n.electionReason = "check-quorum-stepdown"
-			n.logf("repl: node %d stepping down: no quorum heard for %v (term %d)",
-				n.cfg.NodeID, n.cfg.ElectionTimeout, l.term)
+			ages := n.heardAgesLocked(l)
+			n.electionReason = "check-quorum-stepdown: " + ages
+			n.logf("repl: node %d stepping down: no quorum heard for %v (term %d): %s",
+				n.cfg.NodeID, n.cfg.ElectionTimeout, l.term, ages)
 			n.fenceLocked(l, true)
 			n.mu.Unlock()
 			return
@@ -72,6 +75,23 @@ func (n *Node) leaseFreshLocked(l *leaderState) bool {
 		}
 	}
 	return fresh >= n.quorum
+}
+
+// heardAgesLocked lists how long ago each peer was last heard from — what
+// a check-quorum step-down needs said to be diagnosable: which follower
+// went quiet, and whether it was one or all of them. n.mu must be held.
+func (n *Node) heardAgesLocked(l *leaderState) string {
+	var b strings.Builder
+	for id := range n.cfg.Peers {
+		if id == n.cfg.NodeID {
+			continue
+		}
+		if b.Len() > 0 {
+			b.WriteString(", ")
+		}
+		fmt.Fprintf(&b, "peer %d heard %v ago", id, time.Since(l.heard[id]).Round(time.Millisecond))
+	}
+	return b.String()
 }
 
 // compactLocked advances the compaction floor and prunes the queue

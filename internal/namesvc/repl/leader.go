@@ -252,6 +252,7 @@ func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *transport.Peer
 		payload []byte
 	}
 	var batch []outRecord
+	var w wire.Writer // frame-body scratch for the session; Send copies
 	lastSend := time.Now()
 	for {
 		n.mu.Lock()
@@ -277,7 +278,7 @@ func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *transport.Peer
 
 		if len(batch) == 0 {
 			if time.Since(lastSend) >= n.hbInterval {
-				var w wire.Writer
+				w.Reset()
 				appendHeartbeat(&w, term, commit)
 				if err := p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout)); err != nil {
 					return err
@@ -294,7 +295,6 @@ func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *transport.Peer
 			}
 			continue
 		}
-		var w wire.Writer
 		for _, rec := range batch {
 			w.Reset()
 			appendAppend(&w, term, rec.idx, commit, rec.shard, rec.payload)

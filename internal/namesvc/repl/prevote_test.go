@@ -1,6 +1,8 @@
 package repl
 
 import (
+	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -170,8 +172,19 @@ func TestCheckQuorumStepsDownIsolatedLeader(t *testing.T) {
 	if admit, _ := c.nodes[0].AdmitWrites(); admit {
 		t.Fatal("stepped-down leader still admits writes")
 	}
-	if _, _, reason, _ := c.nodes[0].WireReplStats(); reason != "check-quorum-stepdown" {
-		t.Fatalf("election reason = %q, want check-quorum-stepdown", reason)
+	// The reason (the step-down log line carries the same text) says when
+	// each peer was last heard from, so a leaderless ending explains itself.
+	_, _, reason, _ := c.nodes[0].WireReplStats()
+	if !strings.HasPrefix(reason, "check-quorum-stepdown: ") {
+		t.Fatalf("election reason = %q, want check-quorum-stepdown: ...", reason)
+	}
+	for peer := 1; peer <= 2; peer++ {
+		if !strings.Contains(reason, fmt.Sprintf("peer %d heard ", peer)) {
+			t.Fatalf("election reason %q does not say when peer %d was last heard", reason, peer)
+		}
+	}
+	if strings.Contains(reason, "peer 0 ") {
+		t.Fatalf("election reason %q lists the leader itself", reason)
 	}
 	// The term did not move: nothing deposed it, it deposed itself.
 	if _, term, _ := c.nodes[0].Status(); term != 1 {

@@ -121,6 +121,11 @@ func (s *Service) ApplyReplicated(shardIdx int, payload []byte) (bool, error) {
 	sh.nextID = seal.nextID
 	sh.acquires = seal.acquires
 	sh.absorbed = seal.absorbed
+	if sh.queued == 0 {
+		// A deposed leader's cancelled husks may carry IDs above the sealed
+		// counter; drop them so the queue stays in ascending ID order.
+		sh.recycleHusksLocked()
+	}
 	if sh.led.digest != seal.digest {
 		return false, fmt.Errorf("namesvc: shard %d: replicated digest %016x != sealed %016x",
 			shardIdx, sh.led.digest, seal.digest)
@@ -141,6 +146,17 @@ func (s *Service) ApplyReplicated(shardIdx int, payload []byte) (bool, error) {
 		}
 	}
 	return true, nil
+}
+
+// recycleHusksLocked empties a queue that holds nothing but cancelled
+// request husks (sh.queued == 0), returning the structs to the pool; sh.mu
+// must be held.
+func (sh *shard) recycleHusksLocked() {
+	for _, r := range sh.pending {
+		r.sink = nil
+		sh.freeReq = append(sh.freeReq, r)
+	}
+	sh.pending = sh.pending[:0]
 }
 
 // RestoreReplicaShard overwrites a replica shard with a leader snapshot
@@ -172,12 +188,7 @@ func (s *Service) RestoreReplicaShard(shardIdx int, payload []byte) error {
 	sh.nextID = seal.nextID
 	sh.acquires = seal.acquires
 	sh.absorbed = seal.absorbed
-	// Cancelled request husks are all that can remain queued; recycle them.
-	for _, r := range sh.pending {
-		r.sink = nil
-		sh.freeReq = append(sh.freeReq, r)
-	}
-	sh.pending = sh.pending[:0]
+	sh.recycleHusksLocked()
 	if d := sh.dur; d != nil && d.err == nil {
 		if err := d.store.Checkpoint(payload); err != nil {
 			d.fail(shardIdx, err)

@@ -193,17 +193,9 @@ type Server struct {
 	mu    sync.Mutex
 	conns map[net.Conn]chan struct{} // conn -> closed when its handler is done
 
-	// holders is the server-wide binding authority: which connection a
-	// granted name is currently deliverable/releasable on. A reclaim from
-	// a reconnecting session *steals* the binding from the old (dying)
-	// connection, and teardown releases only names the dead connection
-	// still owns here — otherwise a slow teardown racing a fast reconnect
-	// would release a name the session just reclaimed, and its re-grant
-	// would surface as a duplicate. Lock order: holdMu before any c.mu;
-	// holdMu is held across the Reclaim/Release service calls on the
-	// steal-sensitive paths so binding and ledger can't diverge.
-	holdMu  sync.Mutex
-	holders map[int]*svcConn
+	// bound is the server-wide binding authority: which connection a granted
+	// name is currently deliverable/releasable on (see bindTable).
+	bound *bindTable
 }
 
 // NewServer builds a Server and starts its epoch loops: one per shard when
@@ -233,7 +225,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		manualMu: make([]sync.Mutex, shards),
 		stop:     make(chan struct{}),
 		conns:    make(map[net.Conn]chan struct{}),
-		holders:  make(map[int]*svcConn),
+		bound:    newBindTable(shards, cfg.Service.Capacity()),
 	}
 	s.repl, _ = cfg.Gate.(ReplGate)
 	for i := range s.deliver {
@@ -636,10 +628,10 @@ func (s *Server) deliverInline(shard int) {
 // deliverFly commits the shard's fly batch — the staged grants of one or
 // more epochs, in epoch order — one connection at a time: frames are
 // encoded outside any lock, then commitGrants appends them to the
-// connection's outbox and updates its held/outstanding bookkeeping under a
-// single lock with a single cond-signal. Grants whose connection vanished
-// between the in-epoch accept and this commit are released here — the name
-// returns to the pool having never been observable on the wire.
+// connection's outbox, binds the names to it and retires their requests
+// under a single lock with a single cond-signal. Grants whose connection
+// vanished between the in-epoch accept and this commit are released here —
+// the name returns to the pool having never been observable on the wire.
 func (s *Server) deliverFly(shard int) {
 	d := &s.deliver[shard]
 	b := d.fly
@@ -678,7 +670,7 @@ func (s *Server) deliverFly(shard int) {
 			appendGrant(&d.w, sg.req.tag, sg.g)
 			d.buf = wire.AppendFrame(d.buf, d.w.Bytes())
 		}
-		d.rel = run.conn.commitGrants(b, run.head, d.buf, d.rel[:0])
+		d.rel = run.conn.commitGrants(shard, b, run.head, d.buf, d.rel[:0])
 		for _, g := range d.rel {
 			if err := s.svc.Release(g.Client, g.Name); err != nil {
 				s.cfg.Logf("%v: releasing undeliverable grant of %d: %v",
@@ -701,7 +693,8 @@ func (s *Server) deliverFly(shard int) {
 
 // svcConn is one connection's server-side state. Lock order: a shard lock
 // may be taken before c.mu (grant notifies run under the shard lock), so
-// c.mu must never be held across a Service call.
+// c.mu must never be held across a Service call; a binding stripe is taken
+// before c.mu, never after.
 //
 // The outbox is a pooled double buffer: response frames are encoded
 // contiguously (header + body) and appended to pend in whole-burst chunks;
@@ -724,9 +717,13 @@ type svcConn struct {
 	pend        []byte // frames accumulating for the writer
 	fly         []byte // frames being flushed; swapped with pend
 	outClosed   bool
-	held        map[int]uint64 // global name -> holding client
-	outstanding map[*connReq]struct{}
+	outstanding []*connReq // in-flight acquires; each records its index (connReq.pos)
 	freeReqs    []*connReq // recycled per-request state
+
+	// names[shard] is the first of the names bound to this connection on
+	// that shard, 0 for none; the list runs through the binding table's
+	// entries and is guarded, head included, by the shard's stripe.
+	names []uint32
 }
 
 // connReq tracks one in-flight acquire from registration to grant. It is
@@ -740,6 +737,7 @@ type connReq struct {
 	tag    uint64
 	client uint64
 	id     uint64 // service request ID; 0 until enqueued
+	pos    int    // index in c.outstanding while in flight
 }
 
 // GrantNotify implements GrantNotifier; it runs under the shard lock.
@@ -797,20 +795,24 @@ func (c *svcConn) enqueue(frames []byte) bool {
 	return true
 }
 
-// commitGrants appends one epoch's worth of pre-encoded grant frames for
-// this connection and records the grants in held/outstanding, all under a
-// single lock acquisition with a single cond-signal. It returns (appended
-// to rel) the grants that can no longer be delivered — the connection died
-// or overflowed after the in-epoch accept — which the caller must release
-// back to the service.
-func (c *svcConn) commitGrants(b *grantBatch, head int32, frames []byte, rel []Grant) []Grant {
-	s := c.srv
-	s.holdMu.Lock()
+// commitGrants appends one shard's batch of pre-encoded grant frames for
+// this connection, binds the granted names to it and retires their requests,
+// all under the shard's binding stripe and a single connection-lock
+// acquisition with a single cond-signal. It returns (appended to rel) the
+// grants that can no longer be delivered — the connection died or
+// overflowed after the in-epoch accept — which the caller must release back
+// to the service. Teardown marks the connection dead before it walks the
+// connection's names, each under its stripe, so a name bound here is always
+// seen by that walk.
+func (c *svcConn) commitGrants(shard int, b *grantBatch, head int32, frames []byte, rel []Grant) []Grant {
+	t := c.srv.bound
+	stripe := &t.stripes[shard]
+	stripe.Lock()
 	c.mu.Lock()
 	ok, tripped := c.admitLocked(len(frames))
 	if !ok {
 		c.mu.Unlock()
-		s.holdMu.Unlock()
+		stripe.Unlock()
 		if tripped {
 			c.conn.Close() // fails the read loop, which runs teardown
 		}
@@ -822,17 +824,27 @@ func (c *svcConn) commitGrants(b *grantBatch, head int32, frames []byte, rel []G
 	for j := head; j >= 0; j = b.staged[j].next {
 		sg := &b.staged[j]
 		req := sg.req
-		delete(c.outstanding, req)
-		c.held[sg.g.Name] = sg.g.Client
-		s.holders[sg.g.Name] = c
+		c.dropOutstandingLocked(req)
+		t.bind(c, shard, sg.g.Name, sg.g.Client)
 		*req = connReq{c: c}
 		c.freeReqs = append(c.freeReqs, req)
 	}
 	c.pend = append(c.pend, frames...)
 	c.cond.Signal()
 	c.mu.Unlock()
-	s.holdMu.Unlock()
+	stripe.Unlock()
 	return rel
+}
+
+// dropOutstandingLocked removes an in-flight request from c.outstanding by
+// swapping the last one into its place; c.mu must be held.
+func (c *svcConn) dropOutstandingLocked(req *connReq) {
+	last := len(c.outstanding) - 1
+	moved := c.outstanding[last]
+	c.outstanding[req.pos] = moved
+	moved.pos = req.pos
+	c.outstanding[last] = nil
+	c.outstanding = c.outstanding[:last]
 }
 
 // ingest is one connection's reusable burst-decoding scratch, owned by its
@@ -849,7 +861,6 @@ type ingest struct {
 
 	relTag  []uint64 // decoded releases, frame order
 	relName []int
-	relCli  []uint64 // owning client per release; 0 = not held (reject)
 
 	acq    [][]AcquireOp // per-shard submission buckets
 	rel    [][]ReleaseOp
@@ -875,7 +886,6 @@ func (in *ingest) reset() {
 	in.acqReq = in.acqReq[:0]
 	in.relTag = in.relTag[:0]
 	in.relName = in.relName[:0]
-	in.relCli = in.relCli[:0]
 	for i := range in.acq {
 		in.acq[i] = in.acq[i][:0]
 		in.rel[i] = in.rel[i][:0]
@@ -889,20 +899,25 @@ func (in *ingest) pushResp() {
 	in.resp = wire.AppendFrame(in.resp, in.w.Bytes())
 }
 
+// newConn builds the server-side state of one accepted connection.
+func (s *Server) newConn(conn net.Conn) *svcConn {
+	c := &svcConn{
+		srv:      s,
+		conn:     conn,
+		maxQueue: s.cfg.MaxConnQueue,
+		names:    make([]uint32, s.svc.Shards()),
+	}
+	c.cond = sync.NewCond(&c.mu)
+	return c
+}
+
 // handle runs one connection: handshake, then the batched ingestion loop —
 // block for one frame, drain every complete pipelined frame behind it,
 // submit the burst's shard buckets, repeat. Teardown absorbs whatever the
 // connection still held.
 func (s *Server) handle(conn net.Conn) {
 	defer s.wg.Done()
-	c := &svcConn{
-		srv:         s,
-		conn:        conn,
-		maxQueue:    s.cfg.MaxConnQueue,
-		held:        make(map[int]uint64),
-		outstanding: make(map[*connReq]struct{}),
-	}
-	c.cond = sync.NewCond(&c.mu)
+	c := s.newConn(conn)
 
 	defer s.teardown(c)
 	s.wg.Add(1)
@@ -1098,32 +1113,9 @@ func (s *Server) ingestFrame(c *svcConn, in *ingest, body []byte) (fatal bool) {
 			return false
 		}
 		in.w.Reset()
-		// holdMu is held across the service call: a successful reclaim
-		// must install this connection as the binding authority before a
-		// racing teardown of the session's previous connection can
-		// release the name out from under it.
-		s.holdMu.Lock()
-		if err := s.svc.Reclaim(client, name); err != nil {
-			s.holdMu.Unlock()
+		if err := s.reclaim(c, client, name); err != nil {
 			appendReject(&in.w, tag, RejectNotHeld, err.Error())
 		} else {
-			prev := s.holders[name]
-			s.holders[name] = c
-			c.mu.Lock()
-			if c.held != nil {
-				c.held[name] = client
-			}
-			c.mu.Unlock()
-			if prev != nil && prev != c {
-				// Steal: the old connection no longer owns the name, so
-				// its teardown must not release it.
-				prev.mu.Lock()
-				if prev.held != nil {
-					delete(prev.held, name)
-				}
-				prev.mu.Unlock()
-			}
-			s.holdMu.Unlock()
 			appendReclaimed(&in.w, tag)
 		}
 		in.pushResp()
@@ -1132,6 +1124,26 @@ func (s *Server) ingestFrame(c *svcConn, in *ingest, body []byte) (fatal bool) {
 		return true
 	}
 	return false
+}
+
+// reclaim re-binds a name the ledger records as held by client to c. The
+// name's stripe is held across the service call: a successful reclaim must
+// install c as the binding authority — stealing the name out of the
+// previous connection's list — before a racing teardown of that connection
+// can release the name out from under it.
+func (s *Server) reclaim(c *svcConn, client uint64, name int) error {
+	shard, err := s.svc.ShardOfName(name)
+	if err != nil {
+		return err
+	}
+	stripe := &s.bound.stripes[shard]
+	stripe.Lock()
+	defer stripe.Unlock()
+	if err := s.svc.Reclaim(client, name); err != nil {
+		return err
+	}
+	s.bound.bind(c, shard, name, client)
+	return nil
 }
 
 // admitWrite consults the commit gate before a write op joins the burst:
@@ -1167,84 +1179,82 @@ func (s *Server) admitRead(in *ingest, tag uint64) bool {
 }
 
 // submitBurst pushes one decoded burst into the service: releases first
-// (validated against the connection's held set under one lock, bucketed by
-// shard, one ReleaseBatch per shard), then acquires (registered against the
-// outstanding cap under one lock, one AcquireBatch per shard), then the
-// burst's response frames in one outbox append, with one epoch-loop kick
-// per touched shard. Freed capacity is visible to the service before the
-// new acquires queue, exactly as in one-at-a-time submission.
+// (bucketed by shard, validated against the binding table and unbound under
+// that shard's stripe, one ReleaseBatch per shard), then acquires
+// (registered against the outstanding cap under one lock, one AcquireBatch
+// per shard), then the burst's response frames in one outbox append, with
+// one epoch-loop kick per touched shard. Freed capacity is visible to the
+// service before the new acquires queue, exactly as in one-at-a-time
+// submission.
 func (s *Server) submitBurst(c *svcConn, in *ingest) {
 	if in.frames == 0 && len(in.resp) == 0 {
 		return
 	}
 	if len(in.relTag) > 0 {
-		s.holdMu.Lock()
-		c.mu.Lock()
-		for _, name := range in.relName {
-			client, ok := c.held[name]
-			if ok {
-				delete(c.held, name)
-				if s.holders[name] == c {
-					delete(s.holders, name)
-				}
-			}
-			in.relCli = append(in.relCli, client)
-		}
-		c.mu.Unlock()
-		s.holdMu.Unlock()
 		for i, name := range in.relName {
-			client := in.relCli[i]
-			if client == 0 {
-				in.w.Reset()
-				appendReject(&in.w, in.relTag[i], RejectNotHeld,
-					fmt.Sprintf("name %d is not held by this connection", name))
-				in.pushResp()
-				continue
-			}
 			shard, err := s.svc.ShardOfName(name)
 			if err != nil {
-				// Unreachable: held names were validated when granted.
-				in.w.Reset()
-				appendReject(&in.w, in.relTag[i], RejectInternal, err.Error())
-				in.pushResp()
+				s.rejectNotHeld(in, i)
 				continue
 			}
-			in.rel[shard] = append(in.rel[shard], ReleaseOp{Client: client, Name: name})
+			in.rel[shard] = append(in.rel[shard], ReleaseOp{Name: name})
 			in.relIdx[shard] = append(in.relIdx[shard], i)
 		}
 		for shard := range in.rel {
 			if len(in.rel[shard]) == 0 {
 				continue
 			}
-			errs, err := s.svc.ReleaseBatch(shard, in.rel[shard], in.errs[:0])
+			// Only names whose entry still names this connection are its to
+			// release; unbinding them is what makes a second release of the
+			// same name (in this burst or a later one) NotHeld. The stripe
+			// stays held across the service call, so no reclaim can bind a
+			// name between its unbinding here and its release in the ledger.
+			ops, idx := in.rel[shard], in.relIdx[shard]
+			stripe := &s.bound.stripes[shard]
+			stripe.Lock()
+			kept := 0
+			for j, op := range ops {
+				e := &s.bound.entries[op.Name]
+				if e.conn != c {
+					s.rejectNotHeld(in, idx[j])
+					continue
+				}
+				op.Client = e.client
+				s.bound.unbind(shard, op.Name)
+				ops[kept], idx[kept] = op, idx[j]
+				kept++
+			}
+			ops, idx = ops[:kept], idx[:kept]
+			if kept == 0 {
+				stripe.Unlock()
+				continue
+			}
+			errs, err := s.svc.ReleaseBatch(shard, ops, in.errs[:0])
 			in.errs = errs[:0]
 			if err != nil {
 				// Unreachable (the shard index is ours), but fail closed:
 				// the service processed nothing, so the connection still
 				// holds every name in the bucket — restore them and reject
 				// each request, mirroring the acquire path below.
+				for _, op := range ops {
+					s.bound.bind(c, shard, op.Name, op.Client)
+				}
+				stripe.Unlock()
 				s.cfg.Logf("%v: release batch on shard %d: %v", c.conn.RemoteAddr(), shard, err)
-				s.holdMu.Lock()
-				c.mu.Lock()
-				for j, op := range in.rel[shard] {
-					if c.held != nil {
-						c.held[op.Name] = op.Client
-						s.holders[op.Name] = c
-					}
+				for j := range ops {
 					in.w.Reset()
-					appendReject(&in.w, in.relTag[in.relIdx[shard][j]], RejectInternal, err.Error())
+					appendReject(&in.w, in.relTag[idx[j]], RejectInternal, err.Error())
 					in.pushResp()
 				}
-				c.mu.Unlock()
-				s.holdMu.Unlock()
 				continue
 			}
+			stripe.Unlock()
 			for j, e := range errs {
 				in.w.Reset()
 				if e != nil {
-					appendReject(&in.w, in.relTag[in.relIdx[shard][j]], RejectInternal, e.Error())
+					appendReject(&in.w, in.relTag[idx[j]], RejectInternal, e.Error())
 				} else {
-					appendReleased(&in.w, in.relTag[in.relIdx[shard][j]])
+					appendReleased(&in.w, in.relTag[idx[j]])
 				}
 				in.pushResp()
 			}
@@ -1268,7 +1278,8 @@ func (s *Server) submitBurst(c *svcConn, in *ingest) {
 			req.tag = in.acqTag[i]
 			req.client = in.acqCli[i]
 			req.id = 0
-			c.outstanding[req] = struct{}{}
+			req.pos = len(c.outstanding)
+			c.outstanding = append(c.outstanding, req)
 			in.acqReq = append(in.acqReq, req)
 		}
 		c.mu.Unlock()
@@ -1295,8 +1306,8 @@ func (s *Server) submitBurst(c *svcConn, in *ingest) {
 				c.mu.Lock()
 				for _, op := range in.acq[shard] {
 					req := op.Notify.(*connReq)
-					if c.outstanding != nil {
-						delete(c.outstanding, req)
+					if !c.dead {
+						c.dropOutstandingLocked(req)
 					}
 					in.w.Reset()
 					appendReject(&in.w, req.tag, RejectInternal, err.Error())
@@ -1312,27 +1323,30 @@ func (s *Server) submitBurst(c *svcConn, in *ingest) {
 	in.reset()
 }
 
+// rejectNotHeld answers the burst's i-th release with RejectNotHeld: the
+// name is outside the namespace, unbound, or bound to another connection.
+func (s *Server) rejectNotHeld(in *ingest, i int) {
+	in.w.Reset()
+	appendReject(&in.w, in.relTag[i], RejectNotHeld,
+		fmt.Sprintf("name %d is not held by this connection", in.relName[i]))
+	in.pushResp()
+}
+
 // teardown absorbs a connection's death: queued acquires are cancelled
 // (grants already racing through an epoch are refused by the gone flag, or
-// released at delivery commit), and every held name is released. Uniqueness
-// is never at risk — a name is either still free, released here, or
-// absorbed inside or right after its epoch, before ever reaching the wire.
+// released at delivery commit), and every name still bound to the connection
+// is released. Uniqueness is never at risk — a name is either still free,
+// released here, or absorbed inside or right after its epoch, before ever
+// reaching the wire. The cost is O(names the connection holds): teardown
+// walks the connection's own per-shard lists, never the table.
 func (s *Server) teardown(c *svcConn) {
 	c.mu.Lock()
 	c.gone.Store(true)
 	c.dead = true
 	c.outClosed = true
 	c.cond.Signal()
-	cancels := make([]*connReq, 0, len(c.outstanding))
-	for req := range c.outstanding {
-		cancels = append(cancels, req)
-	}
+	cancels := c.outstanding
 	c.outstanding = nil
-	releases := make(map[int]uint64, len(c.held))
-	for name, client := range c.held {
-		releases[name] = client
-	}
-	c.held = nil
 	c.mu.Unlock()
 
 	for _, req := range cancels {
@@ -1340,27 +1354,33 @@ func (s *Server) teardown(c *svcConn) {
 			s.svc.Cancel(req.client, req.id)
 		}
 	}
-	kicked := make(map[int]bool)
-	for name, client := range releases {
-		// Only release names this connection still owns: a session that
-		// reconnected and reclaimed before this teardown ran has stolen
-		// the binding, and releasing here would free a name the session
-		// legitimately holds. holdMu spans the authority check and the
-		// release so a concurrent reclaim cannot interleave between them.
-		s.holdMu.Lock()
-		if s.holders[name] != c {
-			s.holdMu.Unlock()
-			continue
+	for shard := range c.names {
+		stripe := &s.bound.stripes[shard]
+		released := false
+		for {
+			// Only names this connection still owns are on its list: a
+			// session that reconnected and reclaimed before this teardown
+			// ran has stolen the binding — and unlinked it — and releasing
+			// it here would free a name the session legitimately holds. The
+			// stripe spans the unbind and the release, one name at a time,
+			// so a concurrent reclaim cannot interleave between them.
+			stripe.Lock()
+			name := int(c.names[shard])
+			if name == 0 {
+				stripe.Unlock()
+				break
+			}
+			client := s.bound.entries[name].client
+			s.bound.unbind(shard, name)
+			err := s.svc.Release(client, name)
+			stripe.Unlock()
+			if err != nil {
+				s.cfg.Logf("%v: teardown release of %d: %v", c.conn.RemoteAddr(), name, err)
+				continue
+			}
+			released = true
 		}
-		delete(s.holders, name)
-		err := s.svc.Release(client, name)
-		s.holdMu.Unlock()
-		if err != nil {
-			s.cfg.Logf("%v: teardown release of %d: %v", c.conn.RemoteAddr(), name, err)
-			continue
-		}
-		if shard, err := s.svc.ShardOfName(name); err == nil && !kicked[shard] {
-			kicked[shard] = true
+		if released {
 			s.kick(shard)
 		}
 	}

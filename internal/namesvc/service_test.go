@@ -292,6 +292,70 @@ func TestServiceCancelBeforeEpoch(t *testing.T) {
 	}
 }
 
+// TestServiceCancelSearchesQueue pins Cancel's lookup — a binary search of
+// the shard's pending queue, which is in ascending request-ID order — on a
+// queue that starts after a MaxBatch leftover and keeps its cancelled
+// entries until the next epoch: first, middle, last, absent, already
+// granted and already cancelled IDs each get the right answer.
+func TestServiceCancelSearchesQueue(t *testing.T) {
+	t.Parallel()
+	svc, err := New(Config{ShardCap: 16, MaxBatch: 2, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ids := make([]uint64, 9) // ids[k] is client k's request; ids[0] unused
+	for client := uint64(1); client <= 8; client++ {
+		if ids[client], err = svc.Acquire(client, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// MaxBatch 2: the epoch grants requests 1 and 2 and leaves 3..8 queued.
+	if grants, err := svc.CloseEpoch(0); err != nil || len(grants) != 2 {
+		t.Fatalf("first epoch: %d grants, err %v", len(grants), err)
+	}
+	cancel := func(what string, client uint64, want bool) {
+		t.Helper()
+		if got := svc.Cancel(client, ids[client]); got != want {
+			t.Fatalf("cancel of %s request %d = %v, want %v", what, ids[client], got, want)
+		}
+	}
+	cancel("the already granted", 1, false)
+	cancel("the already granted", 2, false)
+	cancel("a middle", 5, true)
+	cancel("the first", 3, true)
+	cancel("the last", 8, true)
+	cancel("the already cancelled middle", 5, false)
+	cancel("the already cancelled first", 3, false)
+	cancel("the already cancelled last", 8, false)
+	for _, id := range []uint64{0, ids[8] + 1, 1 << 40} {
+		if svc.Cancel(4, id) {
+			t.Fatalf("cancel of absent request %d succeeded", id)
+		}
+	}
+	if svc.Cancel(6, ids[4]) {
+		t.Fatal("cancel of request 4 under client 6 succeeded")
+	}
+	// Cancelled entries are still in the queue around these two.
+	cancel("a live request between cancelled ones", 4, true)
+	cancel("a live request between cancelled ones", 7, true)
+	if got := svc.Pending(0); got != 1 {
+		t.Fatalf("pending = %d, want only request 6", got)
+	}
+	grants, err := svc.CloseEpoch(0)
+	if err != nil || len(grants) != 1 || grants[0].ReqID != ids[6] {
+		t.Fatalf("second epoch granted %v (err %v), want only request %d", grants, err, ids[6])
+	}
+	cancel("the request granted after the cancellations", 6, false)
+	// A later arrival lands behind the emptied queue and is found again.
+	id9, err := svc.Acquire(9, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !svc.Cancel(9, id9) || svc.Pending(0) != 0 {
+		t.Fatalf("cancel of a fresh request failed (pending %d)", svc.Pending(0))
+	}
+}
+
 // TestServiceExhaustionAndBackfill: with the namespace full, acquires queue;
 // each release makes exactly one queued acquire grantable.
 func TestServiceExhaustionAndBackfill(t *testing.T) {
