@@ -43,6 +43,8 @@
 // session reconnects and the zero-duplicate assertion stays meaningful
 // under chaos. The final report's "duplicates: 0" line is what CI's
 // end-to-end smoke greps for; any duplicate or error makes blload exit 1.
+// Errors are reported with their causes — "errors: 7 (not-held×7)", and
+// error_classes in the -json artifact — so a failed run names what failed.
 package main
 
 import (
@@ -51,8 +53,10 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"net"
 	"os"
 	"runtime"
+	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -141,6 +145,7 @@ type report struct {
 	shed       uint64
 	duplicates uint64
 	errors     uint64
+	errClasses map[string]uint64       // errors split by errorClass
 	timeouts   uint64                  // session ops that hit -op-timeout
 	lost       uint64                  // grants the server revoked across a reconnect
 	sess       namesvc.SessionCounters // aggregated across connections
@@ -149,7 +154,7 @@ type report struct {
 }
 
 // print renders the human-readable report.
-func (r *report) print(w *os.File) {
+func (r *report) print(w io.Writer) {
 	secs := r.elapsed.Seconds()
 	fmt.Fprintf(w, "ran %.2fs", secs)
 	if r.cfg.warmup > 0 {
@@ -170,7 +175,24 @@ func (r *report) print(w *os.File) {
 		fmt.Fprintf(w, "session: %d reconnects, %d redirects, %d reclaimed, %d lost, %d op timeouts\n",
 			r.sess.Reconnects, r.sess.Redirects, r.sess.Reclaimed, r.lost, r.timeouts)
 	}
-	fmt.Fprintf(w, "duplicates: %d, errors: %d\n", r.duplicates, r.errors)
+	fmt.Fprintf(w, "duplicates: %d, errors: %d%s\n", r.duplicates, r.errors, r.classSummary())
+}
+
+// classSummary renders the error classes for the summary line, by name:
+// " (closed×2, not-held×7)", or nothing when there were no errors.
+func (r *report) classSummary() string {
+	if len(r.errClasses) == 0 {
+		return ""
+	}
+	names := make([]string, 0, len(r.errClasses))
+	for name := range r.errClasses {
+		names = append(names, name)
+	}
+	sort.Strings(names)
+	for i, name := range names {
+		names[i] = fmt.Sprintf("%s×%d", name, r.errClasses[name])
+	}
+	return " (" + strings.Join(names, ", ") + ")"
 }
 
 // jsonReport is the machine-readable rendering of one run, the blload
@@ -187,6 +209,11 @@ type jsonReport struct {
 	Shed        uint64  `json:"shed,omitempty"`
 	Duplicates  uint64  `json:"duplicates"`
 	Errors      uint64  `json:"errors"`
+
+	// ErrClasses splits Errors by cause: a server reject's code
+	// ("not-held", "busy", ...), "timeout", "closed" or "other".
+	ErrClasses map[string]uint64 `json:"error_classes,omitempty"`
+
 	Timeouts    uint64  `json:"op_timeouts,omitempty"`
 	Lost        uint64  `json:"grants_lost,omitempty"`
 	Reconnects  uint64  `json:"session_reconnects,omitempty"`
@@ -227,6 +254,7 @@ func (r *report) writeJSON(w io.Writer) error {
 		Shed:        r.shed,
 		Duplicates:  r.duplicates,
 		Errors:      r.errors,
+		ErrClasses:  r.errClasses,
 		Timeouts:    r.timeouts,
 		Lost:        r.lost,
 		Reconnects:  r.sess.Reconnects,
@@ -298,7 +326,8 @@ type shared struct {
 	clientID atomic.Uint64
 	active   []atomic.Uint32 // 1+name -> held?
 	dups     atomic.Uint64
-	errs     atomic.Uint64
+	classMu  sync.Mutex
+	classes  map[string]uint64 // counted errors by errorClass; guarded by classMu
 	shed     atomic.Uint64
 	timeouts atomic.Uint64
 	lost     atomic.Uint64
@@ -315,8 +344,32 @@ func (sh *shared) countFailure(err error, measured bool) {
 	}
 	if errors.Is(err, namesvc.ErrOpTimeout) {
 		sh.timeouts.Add(1)
-	} else {
-		sh.errs.Add(1)
+		return
+	}
+	sh.classMu.Lock()
+	if sh.classes == nil {
+		sh.classes = make(map[string]uint64)
+	}
+	sh.classes[errorClass(err)]++
+	sh.classMu.Unlock()
+}
+
+// errorClass names the cause of a counted error, so a run that ends
+// "errors: 7" says which seven: the reject code of a server reject,
+// "timeout" for an I/O deadline, "closed" for a connection or client that
+// went away, "other" for anything else.
+func errorClass(err error) string {
+	var rej *namesvc.RejectError
+	var netErr net.Error
+	switch {
+	case errors.As(err, &rej):
+		return rej.Code.String()
+	case errors.As(err, &netErr) && netErr.Timeout():
+		return "timeout"
+	case errors.Is(err, namesvc.ErrClientClosed), errors.Is(err, net.ErrClosed), errors.Is(err, io.EOF):
+		return "closed"
+	default:
+		return "other"
 	}
 }
 
@@ -600,7 +653,12 @@ func runLoad(cfg *config) (*report, error) {
 	}
 	rep.shed = sh.shed.Load()
 	rep.duplicates = sh.dups.Load()
-	rep.errors = sh.errs.Load()
+	sh.classMu.Lock()
+	rep.errClasses = sh.classes
+	sh.classMu.Unlock()
+	for _, n := range rep.errClasses {
+		rep.errors += n
+	}
 	rep.timeouts = sh.timeouts.Load()
 	rep.lost = sh.lost.Load()
 	return rep, nil

@@ -5,7 +5,11 @@ import (
 	"encoding/json"
 	"errors"
 	"flag"
+	"fmt"
 	"net"
+	"os"
+	"reflect"
+	"strings"
 	"testing"
 	"time"
 
@@ -256,5 +260,64 @@ func TestOpenLoopRun(t *testing.T) {
 	// Open loop may shed, but never more offers than the pacer made.
 	if rep.acquires+rep.shed > 2000 {
 		t.Fatalf("offered %d in 200ms at rate 2000/s", rep.acquires+rep.shed)
+	}
+}
+
+// TestErrorClassesReported checks that counted errors carry their causes to
+// both renderings of the report: reject codes by name, I/O deadlines as
+// "timeout", vanished connections as "closed"; session op timeouts and
+// unmeasured failures stay out of the error count, as before.
+func TestErrorClassesReported(t *testing.T) {
+	t.Parallel()
+	sh := &shared{}
+	notHeld := &namesvc.RejectError{Code: namesvc.RejectNotHeld, Msg: "name 7 is not held by this connection"}
+	for i := 0; i < 7; i++ {
+		sh.countFailure(notHeld, true)
+	}
+	sh.countFailure(fmt.Errorf("release: %w", &namesvc.RejectError{Code: namesvc.RejectBusy}), true)
+	sh.countFailure(namesvc.ErrSessionClosed, true)
+	sh.countFailure(&net.OpError{Op: "read", Err: os.ErrDeadlineExceeded}, true)
+	sh.countFailure(errors.New("something else"), true)
+	sh.countFailure(namesvc.ErrOpTimeout, true) // a session timeout, not an error
+	sh.countFailure(notHeld, false)             // outside the measurement window
+	if got := sh.timeouts.Load(); got != 1 {
+		t.Fatalf("counted %d op timeouts, want 1", got)
+	}
+
+	rep := &report{cfg: &config{}, elapsed: time.Second, errors: 11, errClasses: sh.classes}
+	var text bytes.Buffer
+	rep.print(&text)
+	if want := "duplicates: 0, errors: 11 (busy×1, closed×1, not-held×7, other×1, timeout×1)\n"; !strings.HasSuffix(text.String(), want) {
+		t.Fatalf("summary ends %q, want %q", text.String(), want)
+	}
+	var buf bytes.Buffer
+	if err := rep.writeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	var decoded struct {
+		Errors  uint64            `json:"errors"`
+		Classes map[string]uint64 `json:"error_classes"`
+	}
+	if err := json.Unmarshal(buf.Bytes(), &decoded); err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]uint64{"not-held": 7, "busy": 1, "closed": 1, "timeout": 1, "other": 1}
+	if decoded.Errors != 11 || !reflect.DeepEqual(decoded.Classes, want) {
+		t.Fatalf("artifact has errors=%d error_classes=%v, want 11 and %v", decoded.Errors, decoded.Classes, want)
+	}
+
+	// A clean run keeps the line CI greps for and omits the JSON field.
+	clean := &report{cfg: &config{}, elapsed: time.Second}
+	text.Reset()
+	clean.print(&text)
+	if !strings.HasSuffix(text.String(), "duplicates: 0, errors: 0\n") {
+		t.Fatalf("clean summary ends %q", text.String())
+	}
+	buf.Reset()
+	if err := clean.writeJSON(&buf); err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Contains(buf.Bytes(), []byte("error_classes")) {
+		t.Fatalf("clean artifact carries error_classes: %s", buf.String())
 	}
 }

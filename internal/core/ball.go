@@ -78,6 +78,7 @@ func NewBalls(cfg Config, labels []proto.ID) ([]*Ball, error) {
 	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
+	cfg = cfg.normalized()
 	if len(labels) != cfg.N {
 		return nil, fmt.Errorf("core: %d labels for N=%d", len(labels), cfg.N)
 	}
@@ -88,7 +89,7 @@ func NewBalls(cfg Config, labels []proto.ID) ([]*Ball, error) {
 		}
 		seen[id] = true
 	}
-	topo := tree.Shared(cfg.N, cfg.normalized().Arity)
+	topo := tree.Shared(cfg.N, cfg.Arity)
 	balls := make([]*Ball, len(labels))
 	for i, id := range labels {
 		b, err := NewBall(cfg, topo, id)

@@ -33,7 +33,8 @@ import (
 //
 // The equivalence is enforced by integration tests (TestCohortMatchesSim*).
 type Cohort struct {
-	cfg    Config
+	base   Config // as given to NewCohort; cfg is derived from it per size
+	cfg    Config // base at the current size: N, Seed and defaults applied
 	topo   *tree.Topology
 	labels []proto.ID // ascending; dense index order
 	srcs   []rng.Source
@@ -65,12 +66,14 @@ type Cohort struct {
 	newPos  []tree.Node
 	members []int32 // activeMembers buffer
 
-	// Deterministic-phase scratch (lazily allocated: only the hybrid and
-	// deterministic strategies rank balls at nodes).
+	// Deterministic-phase scratch (allocated on first use and regrown when
+	// a larger size needs it: only the hybrid and deterministic strategies
+	// rank balls at nodes).
 	rankArr []int32 // per-ball rank among co-located balls
 	nodeCnt []int32 // per-node ball counter, zeroed after each use
 
-	// Crash-path scratch (lazily allocated: failure-free runs never group).
+	// Crash-path scratch (allocated and regrown the same way: failure-free
+	// runs never group).
 	gid        []int32 // per-ball group id during partition refinement
 	remap      []int32 // (old gid, received bit) -> new gid
 	remapMark  []int32 // epoch marks validating remap entries
@@ -115,70 +118,39 @@ type Result struct {
 }
 
 // NewCohort builds a fast simulator over the given labels (distinct, any
-// order).
+// order): it allocates the cohort and arms it through Reset, the one path
+// that sizes and initializes a cohort.
 func NewCohort(cfg Config, labels []proto.ID) (*Cohort, error) {
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	cfg = cfg.normalized()
 	if cfg.NoSyncRound {
 		return nil, fmt.Errorf("core: the NoSyncRound ablation requires the faithful Ball implementation")
 	}
 	if len(labels) != cfg.N {
 		return nil, fmt.Errorf("core: %d labels for N=%d", len(labels), cfg.N)
 	}
-	sorted := make([]proto.ID, len(labels))
-	copy(sorted, labels)
-	slices.Sort(sorted)
-	for i := 1; i < len(sorted); i++ {
-		if sorted[i] == sorted[i-1] {
-			return nil, fmt.Errorf("core: duplicate label %v", sorted[i])
-		}
-	}
-	topo := tree.Shared(cfg.N, cfg.normalized().Arity)
-	c := &Cohort{
-		cfg:          cfg,
-		topo:         topo,
-		labels:       sorted,
-		srcs:         make([]rng.Source, cfg.N),
-		canon:        NewView(topo, sorted),
-		inCanon:      make([]bool, cfg.N),
-		active:       make([]bool, cfg.N),
-		haltPhase:    make([]int, cfg.N),
-		decided:      make([]bool, cfg.N),
-		decidedName:  make([]int, cfg.N),
-		decidedRound: make([]int, cfg.N),
-		budget:       cfg.Budget,
-		paths:        make([]Path, cfg.N),
-		has:          make([]bool, cfg.N),
-		newPos:       make([]tree.Node, cfg.N),
-		members:      make([]int32, 0, cfg.N),
-	}
-	c.work = c.canon.Clone()
+	c := &Cohort{base: cfg, canon: &View{}, work: &View{}}
 	c.rview.c = c
-	for i := range sorted {
-		c.srcs[i].Reseed(rng.DeriveSeed(cfg.Seed, uint64(sorted[i])))
-		c.inCanon[i] = true
-		c.active[i] = true
-	}
 	if cfg.Metrics {
 		c.metrics = &Metrics{}
 	}
-	if c.cfg.Adversary == nil {
-		c.cfg.Adversary = adversary.None{}
+	if err := c.Reset(cfg.Seed, labels); err != nil {
+		return nil, err
 	}
 	return c, nil
 }
 
-// Reset re-arms the cohort for a fresh run over a new label set of the same
-// size, reusing every buffer, view, and the shared topology — the
-// allocation-free path long-lived callers (the name service's epoch loop)
-// drive once per epoch. The labels must be distinct and exactly cfg.N; the
-// seed replaces cfg.Seed for the next run. On error the cohort state is
-// unspecified and must be Reset again before use.
+// Reset arms the cohort for a fresh run over a new label set of any size
+// (distinct labels, any order; the seed replaces Config.Seed), reusing every
+// buffer and view — the path long-lived callers (the name service's epoch
+// loop) drive once per epoch. A run after Reset is identical to a run of a
+// cohort freshly built over the same (seed, labels). Reset allocates only
+// when len(labels) exceeds every size the cohort has been armed at, or needs
+// a tree shape that tree.Shared has yet to build. On error the cohort state
+// is unspecified and must be Reset again before use.
 func (c *Cohort) Reset(seed uint64, labels []proto.ID) error {
-	if len(labels) != c.cfg.N {
-		return fmt.Errorf("core: Reset with %d labels for N=%d", len(labels), c.cfg.N)
+	if n := len(labels); c.topo == nil || n != c.cfg.N {
+		if err := c.resize(n); err != nil {
+			return err
+		}
 	}
 	// c.labels is the label table shared with the views; rewrite in place.
 	copy(c.labels, labels)
@@ -211,6 +183,40 @@ func (c *Cohort) Reset(seed uint64, labels []proto.ID) error {
 	return nil
 }
 
+// resize binds the cohort to n balls: it derives the size-n configuration
+// from the one the cohort was built with, takes the immutable size-n
+// topology from tree.Shared, re-slices the per-ball arrays (growing those
+// that are too small) and points both views at the new shape. Contents are
+// Reset's to initialize. An n the configuration rejects leaves the cohort
+// as it was.
+func (c *Cohort) resize(n int) error {
+	cfg := c.base
+	cfg.N = n
+	if err := cfg.validate(); err != nil {
+		return err
+	}
+	c.cfg = cfg.normalized()
+	if c.cfg.Adversary == nil {
+		c.cfg.Adversary = adversary.None{}
+	}
+	c.topo = tree.Shared(n, c.cfg.Arity)
+	c.labels = resized(c.labels, n)
+	c.srcs = resized(c.srcs, n)
+	c.inCanon = resized(c.inCanon, n)
+	c.active = resized(c.active, n)
+	c.haltPhase = resized(c.haltPhase, n)
+	c.decided = resized(c.decided, n)
+	c.decidedName = resized(c.decidedName, n)
+	c.decidedRound = resized(c.decidedRound, n)
+	c.paths = resized(c.paths, n)
+	c.has = resized(c.has, n)
+	c.newPos = resized(c.newPos, n)
+	c.members = resized(c.members, n)[:0]
+	c.canon.rebind(c.topo, c.labels)
+	c.work.rebind(c.topo, c.labels)
+	return nil
+}
+
 // Run executes the full protocol and returns the result. It errors if the
 // system fails to quiesce within MaxRounds.
 func (c *Cohort) Run() (Result, error) {
@@ -221,7 +227,7 @@ func (c *Cohort) Run() (Result, error) {
 }
 
 // RunToQuiescence executes the full protocol without assembling a Result:
-// callers read decisions through IndexOf/DecisionOf instead. Unlike Run, a
+// callers read decisions through DecidedNames instead. Unlike Run, a
 // completed failure-free run allocates nothing, which the name service's
 // epoch path depends on (TestEpochZeroAllocs). It errors if the system
 // fails to quiesce within MaxRounds.
@@ -236,19 +242,26 @@ func (c *Cohort) RunToQuiescence() error {
 	return nil
 }
 
-// IndexOf resolves a label to its dense index (position in the ascending
-// label table).
-func (c *Cohort) IndexOf(id proto.ID) (int, bool) { return c.indexOf(id) }
-
-// DecisionOf returns the decided name and decision round of the ball at
-// dense index idx, or ok=false if it has not decided (it crashed, or the
-// run has not finished). Crashed-after-deciding balls still report their
-// decision; Result-level filtering is the caller's concern.
-func (c *Cohort) DecisionOf(idx int) (name, round int, ok bool) {
-	if idx < 0 || idx >= len(c.decided) || !c.decided[idx] {
-		return 0, 0, false
+// DecidedNames writes into names[i] the name decided by the ball labelled
+// labels[i]; it errors on a label that is not in the cohort or has not
+// decided (it crashed, or the run has not finished). Labels given ascending
+// — the cohort's own dense order — are read straight off the decision
+// table; any other label costs a binary search.
+func (c *Cohort) DecidedNames(labels []proto.ID, names []int) error {
+	for i, id := range labels {
+		idx := i
+		if i >= len(c.labels) || c.labels[i] != id {
+			var ok bool
+			if idx, ok = c.indexOf(id); !ok {
+				return fmt.Errorf("core: label %v is not in the cohort", id)
+			}
+		}
+		if !c.decided[idx] {
+			return fmt.Errorf("core: label %v did not decide", id)
+		}
+		names[i] = c.decidedName[idx]
 	}
-	return c.decidedName[idx], c.decidedRound[idx], true
+	return nil
 }
 
 func (c *Cohort) anyActive() bool {
@@ -448,12 +461,12 @@ func (c *Cohort) residueAllAtRoot() bool {
 // Runs in O(n + f + Σ|recv|) rather than O(f·n).
 func (c *Cohort) adjustRootRanks(ranks []int32, members []int32) {
 	root := c.topo.Root()
-	if c.residueCnt == nil {
+	if len(c.residueCnt) < c.cfg.N+1 {
 		c.residueCnt = make([]int32, c.cfg.N+1)
 		c.recvCnt = make([]int32, c.cfg.N)
 	}
 	// residueCnt[i] = number of residue balls with dense index < i.
-	smallerResidue := c.residueCnt
+	smallerResidue := c.residueCnt[:c.cfg.N+1]
 	for i := range smallerResidue {
 		smallerResidue[i] = 0
 	}
@@ -463,7 +476,7 @@ func (c *Cohort) adjustRootRanks(ranks []int32, members []int32) {
 	for i := 1; i <= c.cfg.N; i++ {
 		smallerResidue[i] += smallerResidue[i-1]
 	}
-	receivedSmaller := c.recvCnt
+	receivedSmaller := c.recvCnt[:c.cfg.N]
 	for i := range receivedSmaller {
 		receivedSmaller[i] = 0
 	}
@@ -636,7 +649,7 @@ func (c *Cohort) forEachGroup(roundVictims []residueEntry, fn func(gv *View, mem
 		fn(c.work, members)
 		return
 	}
-	if c.gid == nil {
+	if len(c.gid) < c.cfg.N {
 		c.gid = make([]int32, c.cfg.N)
 		c.remap = make([]int32, 2*c.cfg.N+2)
 		c.remapMark = make([]int32, 2*c.cfg.N+2)
@@ -717,7 +730,7 @@ func (c *Cohort) forEachGroup(roundVictims []residueEntry, fn func(gv *View, mem
 // input — in a single ascending pass over reusable scratch. The returned
 // slice is indexed by dense ball index and valid until the next call.
 func (c *Cohort) ranksAtNodes(v *View, members []int32) []int32 {
-	if c.rankArr == nil {
+	if len(c.rankArr) < c.cfg.N || len(c.nodeCnt) < c.topo.NumNodes() {
 		c.rankArr = make([]int32, c.cfg.N)
 		c.nodeCnt = make([]int32, c.topo.NumNodes())
 	}

@@ -2,6 +2,7 @@ package core
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 
 	"ballsintoleaves/internal/proto"
@@ -25,31 +26,37 @@ type View struct {
 
 	// Scratch reused by orderedPresent; lazily allocated, never copied by
 	// Clone/CopyFrom (it carries no view state).
-	orderBuf  []int32
-	depthCnt  []int32
-	depthOff  []int32
+	orderBuf []int32
+	depthCnt []int32
+	depthOff []int32
 }
 
 // NewView builds a view with all the given balls at the root, the initial
 // configuration of Algorithm 1 (Figure 1). The labels slice must be sorted
 // ascending and is retained (not copied).
 func NewView(topo *tree.Topology, labels []proto.ID) *View {
-	v := &View{
-		topo:    topo,
-		occ:     tree.NewOccupancy(topo),
-		labels:  labels,
-		node:    make([]tree.Node, len(labels)),
-		present: make([]bool, len(labels)),
-		count:   len(labels),
-	}
-	root := topo.Root()
-	for i := range labels {
-		v.node[i] = root
-		v.present[i] = true
-		v.occ.Add(root)
-	}
+	v := &View{}
+	v.rebind(topo, labels)
+	v.ResetAllAtRoot()
 	return v
 }
+
+// rebind points the view at a topology and a label table of any size,
+// growing its per-ball and per-node arrays only when they are too small.
+// Positions are unspecified until ResetAllAtRoot or CopyFrom.
+func (v *View) rebind(topo *tree.Topology, labels []proto.ID) {
+	v.topo, v.labels = topo, labels
+	if v.occ == nil {
+		v.occ = &tree.Occupancy{}
+	}
+	v.occ.Rebind(topo)
+	v.node = resized(v.node, len(labels))
+	v.present = resized(v.present, len(labels))
+}
+
+// resized returns s with length n, reallocating only when its capacity is
+// too small; the contents are unspecified.
+func resized[T any](s []T, n int) []T { return slices.Grow(s[:0], n)[:n] }
 
 // ResetAllAtRoot returns the view to the initial configuration of
 // Algorithm 1 — every ball present and parked at the root — without

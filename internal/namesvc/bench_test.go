@@ -180,7 +180,7 @@ func benchServerPipeline(b *testing.B, conns, shards int) {
 			b.Fatal(err)
 		}
 	}
-	// Warm the window and the per-size epoch caches before measuring.
+	// Warm the window and the shards' cohorts before measuring.
 	for i := 0; i < window; i++ {
 		acquire(i)
 	}
@@ -203,19 +203,9 @@ func benchServerPipeline(b *testing.B, conns, shards int) {
 	b.StopTimer()
 	runtime.ReadMemStats(&after)
 	// Only meaningful once fixed warmup costs amortize away; calibration
-	// runs (and the CI -benchtime 1x smoke) are too short to judge. One pipe
-	// settles on a few batch sizes and allocates nothing. Two shards fed by
-	// two connections wander over more sizes than a shard's cohort cache
-	// keeps (cohortEngineCacheCap), so the rebuilt cohorts — the only
-	// allocation site there is (memprofile: 99.6 % of objects) — cost up to
-	// ~1.1 objects per op; a per-op allocation on the data plane would add a
-	// whole one on top, which is what the bound of 2 catches.
-	maxAllocs := 1.0
-	if conns > 1 {
-		maxAllocs = 2
-	}
-	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1<<16 && perOp >= maxAllocs && !raceEnabled {
-		b.Errorf("pipelined round trip averaged %.2f allocs/op, want amortized < %v", perOp, maxAllocs)
+	// runs (and the CI -benchtime 1x smoke) are too short to judge.
+	if perOp := float64(after.Mallocs-before.Mallocs) / float64(b.N); b.N >= 1<<16 && perOp >= 1 && !raceEnabled {
+		b.Errorf("pipelined round trip averaged %.2f allocs/op, want amortized < 1", perOp)
 	}
 	elapsed := b.Elapsed().Seconds()
 	if elapsed > 0 {

@@ -567,8 +567,9 @@ func (s *Service) BatchFull(shardIdx int) bool {
 // group-commit batching that lets the next epoch absorb them in one run.
 // A failure-free epoch performs no heap allocations: labels, ranks, the
 // free-name snapshot, the permutation check, and the grants all live in
-// per-shard reusable scratch, and the cohort runner resets a cached
-// instance instead of building one (TestEpochZeroAllocs).
+// per-shard reusable scratch, and the cohort runner re-arms the shard's
+// one cohort at the batch's size instead of building one
+// (TestEpochZeroAllocs, TestEpochZeroAllocsVariedBatch).
 func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		return nil, fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)

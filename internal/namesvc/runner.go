@@ -1,8 +1,6 @@
 package namesvc
 
 import (
-	"fmt"
-
 	"ballsintoleaves/internal/core"
 	"ballsintoleaves/internal/proto"
 )
@@ -46,10 +44,9 @@ func forkRunner(r Runner) Runner {
 // hundreds of thousands of assignments per second.
 //
 // The zero value works but builds a fresh cohort per epoch; inside a
-// Service each shard gets a forked instance holding a small cache of
-// reusable cohorts keyed by batch size, so steady-state epochs reset and
-// rerun a cached cohort without touching the heap (the topology itself is
-// shared process-wide via tree.Shared).
+// Service each shard gets a forked instance holding one cohort, re-armed
+// every epoch at that epoch's batch size, so once a shard has seen its
+// largest batch an epoch of any size runs without touching the heap.
 type CohortRunner struct {
 	// Strategy selects path construction; zero means core.HybridPaths,
 	// whose deterministic first phase terminates failure-free batches in a
@@ -67,27 +64,24 @@ func (r CohortRunner) strategy() core.PathStrategy {
 	return r.Strategy
 }
 
-// Assign implements Runner (the uncached one-shot path).
+// Assign implements Runner (the one-shot path: a fresh cohort per call).
 func (r CohortRunner) Assign(seed uint64, labels []proto.ID, ranks []int) error {
 	return r.Fork().Assign(seed, labels, ranks)
 }
 
 // Fork implements forkableRunner.
 func (r CohortRunner) Fork() Runner {
-	return &cohortEngine{strategy: r.strategy(), cache: make(map[int]*core.Cohort)}
+	return &cohortEngine{strategy: r.strategy()}
 }
 
-// cohortEngineCacheCap bounds the per-shard cohort cache. Distinct batch
-// sizes each cost O(n) reusable state; real traffic concentrates on a few
-// steady-state sizes, and anything evicted is simply rebuilt on next use.
-const cohortEngineCacheCap = 16
-
-// cohortEngine is one shard's private CohortRunner state: reusable cohorts
-// keyed by batch size, evicted FIFO beyond cohortEngineCacheCap.
+// cohortEngine is one shard's private CohortRunner state: a single cohort,
+// built by the shard's first epoch and re-armed by every later one. What it
+// retains is the cohort's per-ball arrays at the largest batch the shard
+// has closed; tree shapes belong to tree.Shared, whose bounded table is
+// shared by every shard in the process.
 type cohortEngine struct {
 	strategy core.PathStrategy
-	cache    map[int]*core.Cohort
-	order    []int // cache keys, insertion order
+	cohort   *core.Cohort
 }
 
 // Name implements Runner.
@@ -95,49 +89,21 @@ func (e *cohortEngine) Name() string {
 	return CohortRunner{Strategy: e.strategy}.Name()
 }
 
-// Assign implements Runner: reset-and-rerun a cached cohort when one of
-// this batch size exists (the allocation-free steady state), or build and
-// cache one.
+// Assign implements Runner: re-arm the shard's cohort at this batch's size,
+// run it, and read the decisions in label order. A run that fails leaves
+// nothing to clean up: the next Reset re-arms every field.
 func (e *cohortEngine) Assign(seed uint64, labels []proto.ID, ranks []int) error {
-	n := len(labels)
-	c := e.cache[n]
-	if c == nil {
-		var err error
-		c, err = core.NewCohort(core.Config{N: n, Seed: seed, Strategy: e.strategy}, labels)
+	if e.cohort == nil {
+		c, err := core.NewCohort(core.Config{N: len(labels), Seed: seed, Strategy: e.strategy}, labels)
 		if err != nil {
 			return err
 		}
-		if len(e.cache) >= cohortEngineCacheCap {
-			delete(e.cache, e.order[0])
-			e.order = e.order[1:]
-		}
-		e.cache[n] = c
-		e.order = append(e.order, n)
-	} else if err := c.Reset(seed, labels); err != nil {
+		e.cohort = c
+	} else if err := e.cohort.Reset(seed, labels); err != nil {
 		return err
 	}
-	if err := c.RunToQuiescence(); err != nil {
-		// The cohort's state is mid-run; drop it (cache and eviction order)
-		// so the retry rebuilds.
-		delete(e.cache, n)
-		for i, k := range e.order {
-			if k == n {
-				e.order = append(e.order[:i], e.order[i+1:]...)
-				break
-			}
-		}
+	if err := e.cohort.RunToQuiescence(); err != nil {
 		return err
 	}
-	for i, l := range labels {
-		idx, ok := c.IndexOf(l)
-		if !ok {
-			return fmt.Errorf("namesvc: label %v missing from cohort", l)
-		}
-		name, _, decided := c.DecisionOf(idx)
-		if !decided {
-			return fmt.Errorf("namesvc: label %v did not decide", l)
-		}
-		ranks[i] = name
-	}
-	return nil
+	return e.cohort.DecidedNames(labels, ranks)
 }

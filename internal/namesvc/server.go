@@ -1401,8 +1401,24 @@ func (s *Server) writeLoop(c *svcConn) {
 	defer s.wg.Done()
 	for {
 		c.mu.Lock()
+		woken := false
 		for len(c.pend) == 0 && !c.outClosed && !c.overflow {
 			c.cond.Wait()
+			woken = true
+		}
+		if woken && s.cfg.Gate == nil {
+			// Woken by the first push of an ingest burst: yield once before
+			// the swap, as drainShard does before it closes an epoch.
+			// Without a gate delivery is pure CPU, and the burst's release
+			// acks and each shard's grant commit follow within one scheduler
+			// pass, so they leave in this Write instead of one Write apiece.
+			// Behind a gate there is nothing to gain — the deliverer has
+			// already coalesced a whole commit wait — and a yielded
+			// goroutine can sit on the global run queue for as long as the
+			// processors are parked in fsync.
+			c.mu.Unlock()
+			runtime.Gosched()
+			c.mu.Lock()
 		}
 		if c.overflow {
 			c.mu.Unlock()

@@ -23,9 +23,21 @@ type Occupancy struct {
 
 // NewOccupancy returns an empty occupancy over the given topology.
 func NewOccupancy(t *Topology) *Occupancy {
-	o := &Occupancy{topo: t, capLeft: make([]int32, t.NumNodes())}
+	o := &Occupancy{}
+	o.Rebind(t)
 	o.Reset()
 	return o
+}
+
+// Rebind points the occupancy at another topology, reusing its count array
+// when it is large enough. The counts are unspecified until Reset or
+// CopyFrom.
+func (o *Occupancy) Rebind(t *Topology) {
+	o.topo = t
+	if cap(o.capLeft) < t.NumNodes() {
+		o.capLeft = make([]int32, t.NumNodes())
+	}
+	o.capLeft = o.capLeft[:t.NumNodes()]
 }
 
 // Topology returns the tree shape this occupancy counts over.

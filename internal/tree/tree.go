@@ -19,6 +19,7 @@ package tree
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Node is an index into a Topology's node arrays. The root is node 0 and
@@ -54,21 +55,49 @@ type Topology struct {
 // shape. It panics if n < 1.
 func NewTopology(n int) *Topology { return NewTopologyArity(n, 2) }
 
-// sharedCap bounds the shared-topology cache. Experiment sweeps revisit a
-// handful of (n, arity) shapes thousands of times; a few retained shapes
-// cost megabytes while saving a full O(n) rebuild per run.
+// denseMax bounds the dense table of binary shapes: Shared keeps the
+// topology over every n in 1..denseMax once some caller has asked for one
+// that large. A shape costs about 60 bytes per leaf, so the whole table is
+// about 30·denseMax² bytes — 2 MB per process, whatever the number of
+// shards or simulations reading it. It covers the batch sizes a name-service
+// epoch loop wanders over; larger shapes cost more to use than to look up.
+const denseMax = 256
+
+// sharedCap bounds the most-recently-used list behind the dense table, for
+// larger or non-binary shapes. Experiment sweeps revisit a handful of
+// (n, arity) shapes thousands of times; a few retained shapes cost megabytes
+// while saving a full O(n) rebuild per run.
 const sharedCap = 8
 
 var (
+	// dense[n] is the binary topology over n leaves for n <= denseFilled:
+	// entries are written under sharedMu and published by the store to
+	// denseFilled, so readers need no lock.
+	dense       [denseMax + 1]*Topology
+	denseFilled atomic.Int32
+
 	sharedMu    sync.Mutex
 	sharedTopos [sharedCap]*Topology // most recently used first
 )
 
 // Shared returns a topology for (n, arity), reusing a cached instance when
 // one exists. Topologies are immutable and safe for concurrent use, so
-// distinct simulations — including parallel replicates — can share one
-// shape. The cache keeps the sharedCap most recently used shapes.
+// distinct simulations — including parallel replicates and the name
+// service's shards — can share one shape.
+//
+// Binary shapes over at most denseMax leaves come from a dense table read
+// without a lock. The table is filled through the largest n asked for so
+// far, not entry by entry: a long-lived caller whose size wanders below its
+// own high-water mark (a shard's cohort, re-armed every epoch) never waits
+// for, or allocates, a shape. Everything else goes through a mutex-guarded
+// list of the sharedCap most recently used shapes.
 func Shared(n, arity int) *Topology {
+	if arity == 2 && 1 <= n && n <= denseMax {
+		if int32(n) > denseFilled.Load() {
+			fillDense(n)
+		}
+		return dense[n]
+	}
 	sharedMu.Lock()
 	defer sharedMu.Unlock()
 	for i, t := range sharedTopos {
@@ -82,6 +111,16 @@ func Shared(n, arity int) *Topology {
 	copy(sharedTopos[1:], sharedTopos[:sharedCap-1])
 	sharedTopos[0] = t
 	return t
+}
+
+// fillDense builds the dense table's missing entries up to n.
+func fillDense(n int) {
+	sharedMu.Lock()
+	defer sharedMu.Unlock()
+	for k := int(denseFilled.Load()) + 1; k <= n; k++ {
+		dense[k] = NewTopologyArity(k, 2)
+		denseFilled.Store(int32(k))
+	}
 }
 
 // NewTopologyArity builds a balanced arity-k tree over n leaves. It panics
