@@ -51,13 +51,11 @@
 package ballsintoleaves
 
 import (
-	"fmt"
 	"sort"
 
 	"ballsintoleaves/internal/baseline"
 	"ballsintoleaves/internal/core"
 	"ballsintoleaves/internal/proto"
-	"ballsintoleaves/internal/runtime"
 	"ballsintoleaves/internal/sim"
 )
 
@@ -107,31 +105,7 @@ func renameTree(o *options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
-	procs := core.Processes(balls)
-	var engRes sim.Result
-	switch o.engine {
-	case ReferenceEngine:
-		eng, err := sim.New(sim.Config{Adversary: o.crashes.build(), Budget: o.budget, MaxRounds: o.maxRounds}, procs)
-		if err != nil {
-			return nil, err
-		}
-		engRes, err = eng.Run()
-		if err != nil {
-			return nil, err
-		}
-	case ConcurrentEngine:
-		eng, err := runtime.New(runtime.Config{Adversary: o.crashes.build(), Budget: o.budget, MaxRounds: o.maxRounds}, procs)
-		if err != nil {
-			return nil, err
-		}
-		engRes, err = eng.Run()
-		if err != nil {
-			return nil, err
-		}
-	default:
-		return nil, fmt.Errorf("ballsintoleaves: unknown engine %v", o.engine)
-	}
-	return resultFromEngine(engRes, o), nil
+	return runReference(o, core.Processes(balls))
 }
 
 // renameNaive runs the flat randomized baseline. Failure-free runs use the
@@ -154,6 +128,11 @@ func renameNaive(o *options) (*Result, error) {
 	if err != nil {
 		return nil, err
 	}
+	return runReference(o, procs)
+}
+
+// runReference drives procs on the lock-step reference engine.
+func runReference(o *options, procs []proto.Process) (*Result, error) {
 	eng, err := sim.New(sim.Config{Adversary: o.crashes.build(), Budget: o.budget, MaxRounds: o.maxRounds}, procs)
 	if err != nil {
 		return nil, err

@@ -51,7 +51,7 @@ func TestRenameAllAlgorithms(t *testing.T) {
 func TestRenameAllEngines(t *testing.T) {
 	t.Parallel()
 	var rounds []int
-	for _, eng := range []Engine{FastEngine, ReferenceEngine, ConcurrentEngine} {
+	for _, eng := range []Engine{FastEngine, ReferenceEngine} {
 		res, err := Rename(24, WithEngine(eng), WithSeed(9))
 		if err != nil {
 			t.Fatalf("%v: %v", eng, err)
@@ -59,7 +59,7 @@ func TestRenameAllEngines(t *testing.T) {
 		checkTight(t, res, 24)
 		rounds = append(rounds, res.Rounds)
 	}
-	if rounds[0] != rounds[1] || rounds[1] != rounds[2] {
+	if rounds[0] != rounds[1] {
 		t.Fatalf("engines disagree on rounds: %v", rounds)
 	}
 }
@@ -164,8 +164,10 @@ func TestRenameOptionValidation(t *testing.T) {
 	if _, err := Rename(4, WithAlgorithm(Algorithm(99))); err == nil {
 		t.Fatal("unknown algorithm accepted")
 	}
-	if _, err := Rename(4, WithAlgorithm(NaiveRandom), WithEngine(ConcurrentEngine)); err == nil {
-		t.Fatal("naive on concurrent engine accepted")
+	for _, algo := range []Algorithm{BallsIntoLeaves, NaiveRandom} {
+		if _, err := Rename(8, WithAlgorithm(algo), WithEngine(Engine(99))); err == nil {
+			t.Fatalf("%v on unknown engine accepted", algo)
+		}
 	}
 	if _, err := Rename(4, WithPhaseMetrics(), WithEngine(ReferenceEngine)); err == nil {
 		t.Fatal("metrics on reference engine accepted")
@@ -284,7 +286,7 @@ func TestAlgorithmAndEngineStrings(t *testing.T) {
 	if BallsIntoLeaves.String() != "balls-into-leaves" || NaiveRandom.String() != "naive-random" {
 		t.Fatal("algorithm strings")
 	}
-	if FastEngine.String() != "fast" || ConcurrentEngine.String() != "concurrent" {
+	if FastEngine.String() != "fast" || ReferenceEngine.String() != "reference" {
 		t.Fatal("engine strings")
 	}
 	if Algorithm(99).String() == "" || Engine(99).String() == "" {

@@ -354,14 +354,6 @@ func BenchmarkReferenceEngine(b *testing.B) {
 	})
 }
 
-// BenchmarkConcurrentEngine measures the goroutine-per-process engine.
-func BenchmarkConcurrentEngine(b *testing.B) {
-	const n = 256
-	benchRename(b, n, func(seed uint64) []bil.Option {
-		return []bil.Option{bil.WithSeed(seed), bil.WithEngine(bil.ConcurrentEngine)}
-	})
-}
-
 // BenchmarkNaiveFast measures the flat baseline's central simulation.
 func BenchmarkNaiveFast(b *testing.B) {
 	const n = 1 << 14

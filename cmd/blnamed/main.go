@@ -11,10 +11,9 @@
 //
 //	blload -connect 127.0.0.1:4720 -conns 4 -outstanding 64 -duration 5s
 //
-// -epoch sets a batching window so trickling arrivals coalesce into larger
-// epochs; the window is adaptive and ends early the moment the batch can
-// no longer grow (it reached -max-batch, or it covers every free name), so
-// bursts never pay for it. -journal records per-shard assignment journals
+// Epochs close as soon as a shard has queued work: acquires that arrive
+// while one epoch runs form the next batch, so there is no batching window
+// to tune. -journal records per-shard assignment journals
 // for auditing; a long-lived daemon should keep the default -journal-limit
 // rolling window (the divergence-detecting ledger digest always covers the
 // full history, only replay of dropped old entries is lost), since an
@@ -78,7 +77,6 @@ type config struct {
 	shardCap       int
 	seed           uint64
 	maxBatch       int
-	epoch          time.Duration
 	timeout        time.Duration
 	maxOutstanding int
 	maxConnQueue   int
@@ -98,18 +96,16 @@ type config struct {
 	retainRecords   int
 }
 
-// parseFlags parses args into a validated config.
-func parseFlags(args []string) (*config, error) {
+// newFlagSet defines blnamed's flags over cfg, plus the raw -fsync and
+// -peers strings that parseFlags validates.
+func newFlagSet(cfg *config, fsync, peers *string) *flag.FlagSet {
 	fs := flag.NewFlagSet("blnamed", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
-	cfg := &config{}
 	fs.StringVar(&cfg.listen, "listen", "", "address to listen on (required)")
 	fs.IntVar(&cfg.shards, "shards", 1, "independent namespace shards")
 	fs.IntVar(&cfg.shardCap, "shard-cap", 1024, "names per shard")
 	fs.Uint64Var(&cfg.seed, "seed", 0, "seed driving every epoch's renaming randomness")
 	fs.IntVar(&cfg.maxBatch, "max-batch", 0, "max acquires assigned per epoch (0 = shard capacity)")
-	fs.DurationVar(&cfg.epoch, "epoch", 0,
-		"batching window before closing an epoch, ended early once the batch cannot grow (0 = group commit)")
 	fs.DurationVar(&cfg.timeout, "timeout", 30*time.Second, "per-operation network timeout")
 	fs.IntVar(&cfg.maxOutstanding, "max-outstanding", 0,
 		"per-connection in-flight acquire cap; beyond it acquires are rejected busy (0 = server default)")
@@ -120,24 +116,30 @@ func parseFlags(args []string) (*config, error) {
 		"with -journal, retain only the most recent entries per shard (0 = unbounded growth)")
 	fs.BoolVar(&cfg.quiet, "quiet", false, "suppress per-connection logging")
 	fs.BoolVar(&cfg.manualEpochs, "manual-epochs", false,
-		"testing/replay mode: no autonomous epoch loops; epochs close only on a client's epoch op (-epoch is ignored), making epoch composition a pure function of wire traffic")
+		"testing/replay mode: no autonomous epoch loops; epochs close only on a client's epoch op, making epoch composition a pure function of wire traffic")
 	fs.StringVar(&cfg.dataDir, "data-dir", "",
 		"directory for per-shard write-ahead logs and snapshots; empty = volatile")
-	var fsync string
-	fs.StringVar(&fsync, "fsync", "epoch",
-		"with -data-dir, WAL flush policy: epoch (fsync every record), off, or an interval like 100ms")
+	fs.StringVar(fsync, "fsync", "epoch",
+		"with -data-dir, WAL flush policy: epoch (fsync every record), group (grants wait for one flush shared by every epoch closed meanwhile), off, or an interval like 100ms")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096,
 		"with -data-dir, checkpoint a shard after this many WAL records")
 	fs.BoolVar(&cfg.replicate, "replicate", false,
 		"join a replication cluster: this daemon leads or follows per election (requires -peers, -node-id, -data-dir)")
-	var peers string
-	fs.StringVar(&peers, "peers", "",
+	fs.StringVar(peers, "peers", "",
 		"with -replicate, every cluster member as replAddr=clientAddr, comma-separated, in an order shared verbatim by all members")
 	fs.IntVar(&cfg.nodeID, "node-id", 0, "with -replicate, this member's index into -peers")
 	fs.DurationVar(&cfg.electionTimeout, "election-timeout", 500*time.Millisecond,
 		"with -replicate, follower patience before campaigning (heartbeats flow at a fifth of it)")
 	fs.IntVar(&cfg.retainRecords, "retain-records", 0,
 		"with -replicate, cap the leader's replication-record backlog; laggards past it re-attach via snapshot (0 = default)")
+	return fs
+}
+
+// parseFlags parses args into a validated config.
+func parseFlags(args []string) (*config, error) {
+	cfg := &config{}
+	var fsync, peers string
+	fs := newFlagSet(cfg, &fsync, &peers)
 	if err := fs.Parse(args); err != nil {
 		// The FlagSet has already reported the problem (or printed the
 		// -h usage) to stderr; mark it so main does not repeat it.
@@ -272,7 +274,6 @@ func build(cfg *config) (*namesvc.Server, *namesvc.Service, *repl.Node, error) {
 	}
 	scfg := namesvc.ServerConfig{
 		Service:        svc,
-		EpochInterval:  cfg.epoch,
 		IOTimeout:      cfg.timeout,
 		MaxOutstanding: cfg.maxOutstanding,
 		MaxConnQueue:   cfg.maxConnQueue,

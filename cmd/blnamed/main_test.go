@@ -4,6 +4,7 @@ import (
 	"errors"
 	"flag"
 	"net"
+	"strings"
 	"testing"
 	"time"
 
@@ -18,6 +19,7 @@ func TestParseFlagsValidation(t *testing.T) {
 	}{
 		{"missing listen", nil},
 		{"unknown flag", []string{"-listen", ":0", "-runner", "transport"}},
+		{"removed batching window", []string{"-listen", ":0", "-epoch", "1ms"}},
 		{"zero shards", []string{"-listen", ":0", "-shards", "0"}},
 		{"zero shard-cap", []string{"-listen", ":0", "-shard-cap", "0"}},
 		{"negative journal-limit", []string{"-listen", ":0", "-journal-limit", "-1"}},
@@ -46,14 +48,13 @@ func TestParseFlagsValidation(t *testing.T) {
 		t.Fatalf("-h err = %v", err)
 	}
 	cfg, err := parseFlags([]string{"-listen", "127.0.0.1:0", "-shards", "4", "-shard-cap", "64",
-		"-seed", "9", "-epoch", "1ms", "-quiet",
+		"-seed", "9", "-quiet",
 		"-journal", "-journal-limit", "512",
 		"-max-outstanding", "128", "-max-conn-queue", "65536"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.shards != 4 || cfg.shardCap != 64 || cfg.seed != 9 ||
-		cfg.epoch != time.Millisecond || !cfg.quiet ||
+	if cfg.shards != 4 || cfg.shardCap != 64 || cfg.seed != 9 || !cfg.quiet ||
 		!cfg.journal || cfg.journalLimit != 512 ||
 		cfg.maxOutstanding != 128 || cfg.maxConnQueue != 65536 {
 		t.Fatalf("cfg = %+v", cfg)
@@ -87,6 +88,21 @@ func TestParseFlagsValidation(t *testing.T) {
 		cfg.peers[1].ReplAddr != "b:1" || cfg.peers[1].ClientAddr != "b:2" ||
 		cfg.fsyncMode != namesvc.FsyncGroup || cfg.electionTimeout != 250*time.Millisecond {
 		t.Fatalf("replicated cfg = %+v", cfg)
+	}
+
+	// The -fsync usage names every mode parseFlags accepts.
+	usage := newFlagSet(&config{}, new(string), new(string)).Lookup("fsync").Usage
+	for arg, want := range map[string]namesvc.FsyncMode{
+		"epoch": namesvc.FsyncPerEpoch, "group": namesvc.FsyncGroup,
+		"off": namesvc.FsyncOff, "100ms": namesvc.FsyncInterval,
+	} {
+		cfg, err := parseFlags([]string{"-listen", ":0", "-fsync", arg})
+		if err != nil || cfg.fsyncMode != want {
+			t.Fatalf("-fsync %s: cfg %+v, err %v", arg, cfg, err)
+		}
+		if !strings.Contains(usage, want.String()) {
+			t.Errorf("-fsync usage %q does not name mode %v", usage, want)
+		}
 	}
 }
 

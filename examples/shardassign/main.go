@@ -2,10 +2,11 @@
 // servers must assign themselves one-to-one to n shards, with servers
 // crashing mid-protocol.
 //
-// This example runs the real concurrent engine (one goroutine per server,
-// channels as network links) and injects random crashes with partial
-// delivery of the victims' final broadcasts — the paper's failure model.
-// The surviving servers still end up with unique shards.
+// This example runs one faithful state machine per server on the reference
+// engine and injects random crashes with partial delivery of the victims'
+// final broadcasts — the paper's failure model. The surviving servers still
+// end up with unique shards. To run the same state machines with one
+// goroutine per server over a real transport, see examples/transport.
 //
 // Run with:
 //
@@ -35,7 +36,7 @@ func main() {
 	res, err := bil.Rename(servers,
 		bil.WithIDs(serverIDs),
 		bil.WithSeed(7),
-		bil.WithEngine(bil.ConcurrentEngine), // goroutine per server
+		bil.WithEngine(bil.ReferenceEngine), // one state machine per server
 		bil.WithCrashes(bil.RandomCrashes(crashes, 9, 42)),
 	)
 	if err != nil {

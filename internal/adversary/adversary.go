@@ -5,8 +5,9 @@
 // which processes crash and — crucially — which subset of recipients still
 // receives each crashing process's final broadcast.
 //
-// Both simulation engines (internal/sim, internal/runtime) and the fast
-// cohort simulator (internal/core) drive the same Strategy interface, so a
+// The reference engine (internal/sim), the fast cohort simulator
+// (internal/core) and the transports' fault injection (internal/transport)
+// drive the same Strategy interface, so a
 // strategy written once can attack any algorithm on any engine. Engines
 // enforce the global crash budget t < n; strategies may consult the
 // remaining budget through the RoundView.

@@ -216,8 +216,8 @@ func (o *OnePerPhase) Plan(view RoundView) []CrashSpec {
 // final broadcast to alternating survivors by rank (the splitter pattern,
 // but with the victim chosen by identity rather than by rank). Because the
 // schedule is fully determined by (Round, Victim), the same Scripted value
-// reproduces the same execution on every engine — internal/sim,
-// internal/runtime, and the transport layer's coordinators — which is what
+// reproduces the same execution on every engine — internal/sim and the
+// transport layer's coordinators — which is what
 // the transport-vs-sim equivalence tests and blserve's
 // -crash-round/-crash-id fault injection rely on.
 //

@@ -13,8 +13,8 @@ import (
 
 // Ball is the faithful per-process implementation of Algorithm 1. Each Ball
 // keeps a full local view of the virtual tree — exactly the data structure
-// of the paper — and is driven as a proto.Process by internal/sim or
-// internal/runtime:
+// of the paper — and is driven as a proto.Process by internal/sim or, one
+// goroutine per ball, by internal/transport's Run:
 //
 //	round 1:      broadcast ⟨b_i⟩, insert every received ball at the root;
 //	round 2φ:     broadcast the candidate path, then simulate all received

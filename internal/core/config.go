@@ -8,7 +8,7 @@
 // against each other:
 //
 //   - Ball: the faithful per-process state machine of Algorithm 1, run as a
-//     proto.Process under internal/sim or internal/runtime. Every ball keeps
+//     proto.Process under internal/sim or internal/transport. Every ball keeps
 //     its own full local view of the virtual tree, exactly as the paper
 //     describes.
 //   - Cohort: a fast whole-system simulator exploiting the paper's

@@ -535,20 +535,6 @@ func (s *Service) EpochRunnable(shardIdx int) bool {
 	return sh.led.freeCount() > 0 && sh.queued > 0
 }
 
-// BatchFull reports whether waiting longer cannot grow the shard's next
-// epoch batch: the queue already meets the MaxBatch cap, or it covers
-// every remaining free name. Epoch-loop drivers with a batching window
-// (Server.epochLoop) use it to close adaptively — as soon as the batch is
-// as large as an epoch can assign — instead of always waiting the window
-// out.
-func (s *Service) BatchFull(shardIdx int) bool {
-	sh := s.shards[shardIdx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	free := sh.led.freeCount()
-	return sh.queued > 0 && free > 0 && (sh.queued >= s.cfg.MaxBatch || sh.queued >= free)
-}
-
 // CloseEpoch runs one renaming epoch on the given shard: it batches up to
 // MaxBatch queued requests (bounded by the free names), runs the shard's
 // Runner over the batch with a seed derived from (Seed, shard, epoch), and

@@ -95,11 +95,10 @@ func TestChaosLeaderPartitionUnderSessionLoad(t *testing.T) {
 	c := fc.cluster
 	for i := range c.nodes {
 		srv, err := namesvc.NewServer(namesvc.ServerConfig{
-			Service:       c.svcs[i],
-			Gate:          c.nodes[i],
-			EpochInterval: 10 * time.Millisecond,
-			IOTimeout:     2 * time.Second,
-			Logf:          c.logf,
+			Service:   c.svcs[i],
+			Gate:      c.nodes[i],
+			IOTimeout: 2 * time.Second,
+			Logf:      c.logf,
 		})
 		if err != nil {
 			t.Fatalf("starting server %d: %v", i, err)

@@ -69,11 +69,10 @@ func TestSessionExactlyOnceAcrossFailovers(t *testing.T) {
 			t.Fatalf("starting node %d: %v", i, err)
 		}
 		srv, err := namesvc.NewServer(namesvc.ServerConfig{
-			Service:       svc,
-			Gate:          node,
-			EpochInterval: 10 * time.Millisecond,
-			IOTimeout:     2 * time.Second,
-			Logf:          logf,
+			Service:   svc,
+			Gate:      node,
+			IOTimeout: 2 * time.Second,
+			Logf:      logf,
 		})
 		if err != nil {
 			t.Fatalf("starting server %d: %v", i, err)

@@ -93,15 +93,6 @@ type ServerConfig struct {
 	// replication quorum or group-commit fsync. Required when the service
 	// uses FsyncGroup (use GroupGate); nil otherwise means no gating.
 	Gate CommitGate
-	// EpochInterval is the batching window: after a shard's first queued
-	// request, its epoch loop waits this long before closing the epoch, so
-	// more arrivals join the batch. The window is adaptive: it ends early
-	// as soon as the batch can no longer grow (Service.BatchFull — the
-	// queue reached MaxBatch, or it covers every free name), so a burst
-	// never waits out a timer it cannot benefit from. Zero is pure group
-	// commit — close immediately, and let the requests that arrive during
-	// one epoch's renaming run form the next batch.
-	EpochInterval time.Duration
 	// MaxOutstanding caps one connection's in-flight acquires; beyond it
 	// acquires are rejected with RejectBusy. Zero means 4096.
 	MaxOutstanding int
@@ -126,9 +117,8 @@ type ServerConfig struct {
 	// delivering the grants. This makes epoch composition — which requests
 	// batch into which epoch — a pure function of the wire traffic, which is
 	// what the deterministic simulator's differential replay needs; it is a
-	// testing/replay mode, not a production configuration. EpochInterval is
-	// ignored. On a server without ManualEpochs the epoch op is rejected
-	// with RejectUnsupported.
+	// testing/replay mode, not a production configuration. On a server
+	// without ManualEpochs the epoch op is rejected with RejectUnsupported.
 	ManualEpochs bool
 	// Logf, when non-nil, receives operational log lines.
 	Logf func(format string, args ...any)
@@ -198,21 +188,17 @@ type Server struct {
 	bound *bindTable
 }
 
-// NewServer builds a Server and starts its epoch loops: one per shard when
-// cores allow (or when a batching window is configured, which is per-shard
-// state), otherwise GOMAXPROCS loops each owning a stripe of shards — on
+// NewServer builds a Server and starts its epoch loops: min(GOMAXPROCS,
+// shards) of them, loop w owning the stripe of shards w, w+loops, … — on
 // machines with fewer cores than shards, one wakeup then drains several
 // shards, instead of paying a goroutine handoff per shard per burst for
-// parallelism the hardware cannot deliver.
+// parallelism the hardware cannot deliver. With ManualEpochs there are none.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	if err := cfg.normalize(); err != nil {
 		return nil, err
 	}
 	shards := cfg.Service.Shards()
-	workers := runtime.GOMAXPROCS(0)
-	if cfg.EpochInterval > 0 || workers > shards {
-		workers = shards
-	}
+	workers := min(runtime.GOMAXPROCS(0), shards)
 	if cfg.ManualEpochs {
 		workers = 0 // no autonomous epoch loops; clients drive every close
 	}
@@ -363,12 +349,9 @@ func (s *Server) closeManualEpoch(shard int) (epoch uint64, granted int, err err
 // epochLoop drives the stripe of shards loop w owns (w, w+workers, …): on a
 // kick it drains every owned shard in turn, so when shards outnumber cores a
 // burst touching several shards costs one goroutine handoff, not one per
-// shard (checking a quiet shard is one short lock acquisition). With a
-// batching window — NewServer then gives every shard its own loop — the kick
-// first opens the window: the loop keeps listening for kicks and closes the
-// epoch as soon as the batch can no longer grow (BatchFull) instead of
-// waiting the timer out, so under bursts the window costs nothing while
-// trickles still coalesce.
+// shard (checking a quiet shard is one short lock acquisition). It closes
+// epochs as soon as it is kicked; arrivals during one epoch's run form the
+// next batch (and drainShard's yield lets a racing burst join this one).
 func (s *Server) epochLoop(w int) {
 	defer s.wg.Done()
 	shards := s.svc.Shards()
@@ -377,37 +360,11 @@ func (s *Server) epochLoop(w int) {
 			s.stopDelivery(shard)
 		}
 	}()
-	var timer *time.Timer
-	if s.cfg.EpochInterval > 0 {
-		timer = time.NewTimer(s.cfg.EpochInterval)
-		if !timer.Stop() {
-			<-timer.C
-		}
-		defer timer.Stop()
-	}
 	for {
 		select {
 		case <-s.stop:
 			return
 		case <-s.kicks[w]:
-		}
-		if timer != nil && !s.svc.BatchFull(w) {
-			timer.Reset(s.cfg.EpochInterval)
-			for waiting := true; waiting; {
-				select {
-				case <-s.stop:
-					return
-				case <-timer.C:
-					waiting = false
-				case <-s.kicks[w]:
-					if s.svc.BatchFull(w) {
-						if !timer.Stop() {
-							<-timer.C
-						}
-						waiting = false
-					}
-				}
-			}
 		}
 		for shard := w; shard < shards; shard += s.workers {
 			s.drainShard(shard)

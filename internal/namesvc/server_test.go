@@ -479,40 +479,6 @@ func TestServerBackpressureOnCoalescedGrants(t *testing.T) {
 	}
 }
 
-// TestServerAdaptiveEpochClosesEarly pins the adaptive batching window: with
-// an absurdly long EpochInterval, a batch that reaches MaxBatch must be
-// granted immediately (BatchFull ends the window) instead of waiting the
-// timer out.
-func TestServerAdaptiveEpochClosesEarly(t *testing.T) {
-	t.Parallel()
-	_, addr := startServerWith(t, Config{ShardCap: 8, Seed: 1, MaxBatch: 4},
-		ServerConfig{EpochInterval: 30 * time.Second})
-	c, err := Dial(addr, ClientConfig{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	granted := make(chan error, 4)
-	for client := uint64(1); client <= 4; client++ {
-		if err := c.Acquire(client, func(g Grant, err error) { granted <- err }); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := c.Flush(); err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < 4; i++ {
-		select {
-		case err := <-granted:
-			if err != nil {
-				t.Fatalf("grant %d: %v", i, err)
-			}
-		case <-time.After(5 * time.Second):
-			t.Fatal("full batch not granted before the batching window expired")
-		}
-	}
-}
-
 // TestServerHandshakeDeadlineShedsStalledConns pins the handshake bound:
 // a connection that never sends its hello (a half-open victim of a chaos
 // proxy, or a port scanner) must be shed within HandshakeTimeout instead
@@ -892,11 +858,11 @@ func TestManualEpochDeliversSynchronouslyBehindGate(t *testing.T) {
 
 // TestServerSchedulerShapes runs the one epoch loop in each shape NewServer
 // gives it — a stripe of shards per loop when shards outnumber cores (with
-// inline and with piped delivery), one loop per shard under a batching
-// window, and no loops at all under ManualEpochs — and requires the same
+// inline and with piped delivery), one loop per shard when cores cover the
+// shards, and no loops at all under ManualEpochs — and requires the same
 // outcome from each: every acquire granted exactly once, and Close
 // returning with every piped shard's deliverer told to stop. It is not
-// parallel: the striped shape needs GOMAXPROCS(1) while NewServer runs.
+// parallel: the loop count follows GOMAXPROCS while NewServer runs.
 func TestServerSchedulerShapes(t *testing.T) {
 	const shards, clients = 4, 64
 	cases := []struct {
@@ -908,7 +874,7 @@ func TestServerSchedulerShapes(t *testing.T) {
 	}{
 		{name: "striped", procs: 1, workers: 1},
 		{name: "striped behind a gate", procs: 1, gate: true, workers: 1},
-		{name: "one loop per shard with a window", scfg: ServerConfig{EpochInterval: time.Millisecond}, workers: shards},
+		{name: "one loop per shard", procs: shards, workers: shards},
 		{name: "manual epochs", scfg: ServerConfig{ManualEpochs: true}, gate: true, workers: 0},
 	}
 	for _, tc := range cases {

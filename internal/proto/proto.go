@@ -29,8 +29,8 @@ type Message struct {
 	Payload []byte
 }
 
-// Process is the state-machine contract driven by the simulation engines
-// (internal/sim and internal/runtime) and, through internal/transport's Run
+// Process is the state-machine contract driven by the reference engine
+// (internal/sim) and, through internal/transport's Run
 // loop, by the real network transports. The driver calls Send at the start
 // of each round to collect the process's broadcast payload, applies the
 // adversary's crash and delivery plan (or, on a real network, observes

@@ -6,8 +6,9 @@
 //
 // Determinism contract: with identical processes, adversary and
 // configuration, every run produces identical message sequences, decisions
-// and round counts. The goroutine-based engine in internal/runtime and the
-// fast cohort simulator in internal/core are validated against this engine.
+// and round counts. The fast cohort simulator in internal/core and the
+// goroutine-per-process loopback and TCP transports in internal/transport
+// are validated against this engine.
 package sim
 
 import (

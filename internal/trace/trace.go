@@ -1,7 +1,7 @@
 // Package trace records round-level protocol events — sends, deliveries,
 // decisions, halts — by transparently wrapping proto.Process instances. It
-// works under both engines (the goroutine runtime included; the log is
-// thread-safe) and is the debugging companion to cmd/blsim's phase-level
+// works on the reference engine and over the transports, one goroutine per
+// process (the log is thread-safe), and is the debugging companion to cmd/blsim's phase-level
 // tree rendering: blsim shows where the balls are, trace shows every
 // message that put them there.
 package trace

@@ -1,6 +1,7 @@
 package trace
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -8,8 +9,8 @@ import (
 	"ballsintoleaves/internal/core"
 	"ballsintoleaves/internal/ids"
 	"ballsintoleaves/internal/proto"
-	"ballsintoleaves/internal/runtime"
 	"ballsintoleaves/internal/sim"
+	"ballsintoleaves/internal/transport"
 )
 
 func runTraced(t *testing.T, n int, adv adversary.Strategy) *Log {
@@ -98,24 +99,44 @@ func TestTracePreservesIntrospection(t *testing.T) {
 	}
 }
 
-func TestTraceUnderConcurrentEngine(t *testing.T) {
+// TestTraceOverLoopback records a run driven with one goroutine per process
+// over transport.Loopback: the shared Log must take concurrent appends, and
+// the traced processes must decide exactly as on the reference engine.
+func TestTraceOverLoopback(t *testing.T) {
 	t.Parallel()
 	const n = 16
-	balls, err := core.NewBalls(core.Config{N: n, Seed: 4}, ids.Random(n, 11))
+	labels := ids.Random(n, 11)
+	mkProcs := func() []proto.Process {
+		balls, err := core.NewBalls(core.Config{N: n, Seed: 4}, labels)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return core.Processes(balls)
+	}
+	ref, err := sim.New(sim.Config{}, mkProcs())
 	if err != nil {
 		t.Fatal(err)
 	}
+	want, err := ref.Run()
+	if err != nil {
+		t.Fatal(err)
+	}
+
 	log := &Log{}
-	eng, err := runtime.New(runtime.Config{}, WrapAll(core.Processes(balls), log))
+	traced := make(map[proto.ID]proto.Process, n)
+	for _, p := range WrapAll(mkProcs(), log) {
+		traced[p.ID()] = p
+	}
+	got, err := transport.RunAll(labels, transport.NetConfig{},
+		func(id proto.ID) (transport.Process, error) { return traced[id], nil }, 0)
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := eng.Run()
-	if err != nil {
-		t.Fatal(err)
+	if !reflect.DeepEqual(got.Decisions, want.Decisions) {
+		t.Fatalf("loopback decisions = %+v, want %+v", got.Decisions, want.Decisions)
 	}
-	if len(log.Decisions()) != n || len(res.Decisions) != n {
-		t.Fatalf("decisions: log %d, engine %d", len(log.Decisions()), len(res.Decisions))
+	if len(log.Decisions()) != n {
+		t.Fatalf("log recorded %d decisions, want %d", len(log.Decisions()), n)
 	}
 }
 

@@ -73,11 +73,10 @@ const (
 	// whole-system simulation, practical up to millions of processes.
 	FastEngine Engine = iota + 1
 	// ReferenceEngine drives one faithful state machine per process on the
-	// single-threaded lock-step engine.
+	// single-threaded lock-step engine. To run those state machines with one
+	// goroutine per process, drive them over internal/transport (see
+	// examples/transport).
 	ReferenceEngine
-	// ConcurrentEngine runs one goroutine per process with channel links —
-	// the paper's model rendered in Go concurrency.
-	ConcurrentEngine
 )
 
 // String implements fmt.Stringer.
@@ -87,8 +86,6 @@ func (e Engine) String() string {
 		return "fast"
 	case ReferenceEngine:
 		return "reference"
-	case ConcurrentEngine:
-		return "concurrent"
 	default:
 		return fmt.Sprintf("Engine(%d)", int(e))
 	}
@@ -268,8 +265,10 @@ func buildOptions(n int, opts []Option) (*options, error) {
 	default:
 		return nil, fmt.Errorf("ballsintoleaves: unknown algorithm %v", o.algorithm)
 	}
-	if o.algorithm == NaiveRandom && o.engine == ConcurrentEngine {
-		return nil, fmt.Errorf("ballsintoleaves: NaiveRandom supports FastEngine and ReferenceEngine only")
+	switch o.engine {
+	case FastEngine, ReferenceEngine:
+	default:
+		return nil, fmt.Errorf("ballsintoleaves: unknown engine %v", o.engine)
 	}
 	if o.arity != 0 && o.algorithm == NaiveRandom {
 		return nil, fmt.Errorf("ballsintoleaves: tree arity does not apply to NaiveRandom")

@@ -97,7 +97,7 @@ func resultFromCohort(res core.Result, o *options) *Result {
 	return out
 }
 
-// resultFromEngine converts a reference/concurrent engine result.
+// resultFromEngine converts a reference engine result.
 func resultFromEngine(res sim.Result, o *options) *Result {
 	phases := 0
 	if o.algorithm != NaiveRandom && res.Rounds > 0 {
