@@ -10,9 +10,9 @@ import (
 
 // TestEpochZeroAllocs guards the service's allocation-free steady state, in
 // the spirit of core's TestCohortPhaseZeroAllocs: once the per-shard
-// scratch, the request pool, and the cohort cache are warm, a full churn
-// cycle — queue a batch of acquires, close the epoch (which runs a whole
-// renaming instance), release every grant — must not touch the heap.
+// scratch, the request pool, and the shard's resizable cohort are warm, a
+// full churn cycle — queue a batch of acquires, close the epoch (which runs
+// a whole renaming instance), release every grant — must not touch the heap.
 func TestEpochZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are distorted under the race detector")
@@ -46,7 +46,7 @@ func TestEpochZeroAllocs(t *testing.T) {
 		}
 	}
 	// Warm the pools: request structs, pending/index capacity, epoch
-	// scratch, and the cohort cached for this batch size.
+	// scratch, and the shard's resizable cohort, grown to this batch size.
 	cycle()
 	cycle()
 	if allocs := testing.AllocsPerRun(5, cycle); allocs != 0 {

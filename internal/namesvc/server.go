@@ -532,10 +532,11 @@ type shardDelivery struct {
 	stop bool      // the epoch loop has exited; drain pend and exit
 	pend *grantBatch
 
-	fly *grantBatch
-	w   wire.Writer // frame-body encode scratch
-	buf []byte      // contiguous frames for the run being built
-	rel []Grant     // grants to release (recipient gone mid-flight)
+	fly    *grantBatch
+	w      wire.Writer    // frame-body encode scratch
+	buf    []byte         // contiguous frames for the run being built
+	rel    []Grant        // grants to release (recipient gone mid-flight)
+	pickup sync.WaitGroup // the writer a commit woke, until it takes its batch
 }
 
 // stopDelivery tells a piped shard's delivery goroutine that its epoch loop
@@ -553,6 +554,16 @@ func (s *Server) stopDelivery(shard int) {
 // one commit wait per shard is ever in flight, always from here. It exits
 // once the epoch loop has and pend is drained, so grants staged for
 // connections that died with the server are still released.
+//
+// Wake, then wait: it does not start its next commit wait while a
+// connection writer that this delivery woke from its idle wait has not yet
+// taken its outbox batch (deliverFly hands each one the processor in turn).
+// A commit wait can be a blocking fsync, and a goroutine blocked in a
+// system call keeps its processor — together with the writer it just
+// readied there — until the runtime's monitor retakes the processor, which
+// can take up to 10 ms once the process has been partly idle. A writer that
+// was already busy, inside a Write to a slow reader, was not woken and is
+// never waited on, and no wait holds a lock.
 func (s *Server) deliverLoop(shard int) {
 	defer s.wg.Done()
 	d := &s.deliver[shard]
@@ -589,6 +600,14 @@ func (s *Server) deliverInline(shard int) {
 // under a single lock with a single cond-signal. Grants whose connection
 // vanished between the in-epoch accept and this commit are released here —
 // the name returns to the pool having never been observable on the wire.
+//
+// On a piped shard, a commit that wakes a parked writer is followed by a
+// wait until that writer has taken its batch: the wakeup put the writer in
+// this processor's next-to-run slot, so parking here runs it at once, and
+// the writer releases the deliverer at its swap, before its Write. Waiting
+// once after the whole batch instead would leave every writer but the last
+// woken behind whatever else is queued on the processor, and the deliverer
+// with them.
 func (s *Server) deliverFly(shard int) {
 	d := &s.deliver[shard]
 	b := d.fly
@@ -628,6 +647,9 @@ func (s *Server) deliverFly(shard int) {
 			d.buf = wire.AppendFrame(d.buf, d.w.Bytes())
 		}
 		d.rel = run.conn.commitGrants(shard, b, run.head, d.buf, d.rel[:0])
+		if d.piped {
+			d.pickup.Wait()
+		}
 		for _, g := range d.rel {
 			if err := s.svc.Release(g.Client, g.Name); err != nil {
 				s.cfg.Logf("%v: releasing undeliverable grant of %d: %v",
@@ -674,8 +696,10 @@ type svcConn struct {
 	pend        []byte // frames accumulating for the writer
 	fly         []byte // frames being flushed; swapped with pend
 	outClosed   bool
-	outstanding []*connReq // in-flight acquires; each records its index (connReq.pos)
-	freeReqs    []*connReq // recycled per-request state
+	parked      bool            // the writer waits for frames and nothing has woken it yet
+	pickup      *sync.WaitGroup // the deliverer that woke the writer, until it takes its batch
+	outstanding []*connReq      // in-flight acquires; each records its index (connReq.pos)
+	freeReqs    []*connReq      // recycled per-request state
 
 	// names[shard] is the first of the names bound to this connection on
 	// that shard, 0 for none; the list runs through the binding table's
@@ -723,10 +747,20 @@ func (c *svcConn) admitLocked(n int) (ok, tripped bool) {
 	if len(c.pend)+n > c.maxQueue {
 		c.overflow = true
 		c.gone.Store(true)
-		c.cond.Signal()
+		c.wakeLocked()
 		return false, true
 	}
 	return true, false
+}
+
+// wakeLocked signals the writer; c.mu must be held. It reports whether this
+// call is the one that woke the writer from its idle wait — false when the
+// writer is busy flushing or has already been signalled.
+func (c *svcConn) wakeLocked() bool {
+	woke := c.parked
+	c.parked = false
+	c.cond.Signal()
+	return woke
 }
 
 // enqueue appends pre-encoded response frames (one or more, already length-
@@ -747,7 +781,7 @@ func (c *svcConn) enqueue(frames []byte) bool {
 		return false
 	}
 	c.pend = append(c.pend, frames...)
-	c.cond.Signal()
+	c.wakeLocked()
 	c.mu.Unlock()
 	return true
 }
@@ -760,7 +794,10 @@ func (c *svcConn) enqueue(frames []byte) bool {
 // overflowed after the in-epoch accept — which the caller must release back
 // to the service. Teardown marks the connection dead before it walks the
 // connection's names, each under its stripe, so a name bound here is always
-// seen by that walk.
+// seen by that walk. On a piped shard, a commit that wakes the writer from
+// its idle wait adds it to the shard's pickup group, which it leaves when it
+// takes its batch (see deliverFly); inline delivery blocks in nothing after
+// this, so it waits for no one.
 func (c *svcConn) commitGrants(shard int, b *grantBatch, head int32, frames []byte, rel []Grant) []Grant {
 	t := c.srv.bound
 	stripe := &t.stripes[shard]
@@ -787,7 +824,10 @@ func (c *svcConn) commitGrants(shard int, b *grantBatch, head int32, frames []by
 		c.freeReqs = append(c.freeReqs, req)
 	}
 	c.pend = append(c.pend, frames...)
-	c.cond.Signal()
+	if d := &c.srv.deliver[shard]; c.wakeLocked() && d.piped {
+		d.pickup.Add(1)
+		c.pickup = &d.pickup
+	}
 	c.mu.Unlock()
 	stripe.Unlock()
 	return rel
@@ -1301,7 +1341,7 @@ func (s *Server) teardown(c *svcConn) {
 	c.gone.Store(true)
 	c.dead = true
 	c.outClosed = true
-	c.cond.Signal()
+	c.wakeLocked()
 	cancels := c.outstanding
 	c.outstanding = nil
 	c.mu.Unlock()
@@ -1354,12 +1394,18 @@ func (s *Server) teardown(c *svcConn) {
 // pushes the whole contiguous batch of frames to the kernel in a single
 // Write. A full epoch of grants therefore costs one syscall on this
 // connection, while pushers keep filling the other buffer.
+//
+// Wake, then wait: behind a gate, the deliverer that woke the writer from
+// its idle wait waits for it to take its batch before going on toward its
+// next commit wait (see deliverLoop). The writer releases it at the swap,
+// before its Write, so a slow reader's Write never holds a deliverer up.
 func (s *Server) writeLoop(c *svcConn) {
 	defer s.wg.Done()
 	for {
 		c.mu.Lock()
 		woken := false
 		for len(c.pend) == 0 && !c.outClosed && !c.overflow {
+			c.parked = true
 			c.cond.Wait()
 			woken = true
 		}
@@ -1370,12 +1416,16 @@ func (s *Server) writeLoop(c *svcConn) {
 			// acks and each shard's grant commit follow within one scheduler
 			// pass, so they leave in this Write instead of one Write apiece.
 			// Behind a gate there is nothing to gain — the deliverer has
-			// already coalesced a whole commit wait — and a yielded
-			// goroutine can sit on the global run queue for as long as the
-			// processors are parked in fsync.
+			// already coalesced a whole commit wait, and waits for this swap
+			// — and a yielded goroutine can sit on the global run queue for
+			// as long as the processors are parked in fsync.
 			c.mu.Unlock()
 			runtime.Gosched()
 			c.mu.Lock()
+		}
+		if c.pickup != nil {
+			c.pickup.Done()
+			c.pickup = nil
 		}
 		if c.overflow {
 			c.mu.Unlock()

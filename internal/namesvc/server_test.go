@@ -562,6 +562,24 @@ func (g *stepGate) awaitEntered(t *testing.T) {
 	}
 }
 
+// passAll commits every wait that begins, until the test ends.
+func (g *stepGate) passAll() {
+	go func() {
+		for {
+			select {
+			case <-g.entered:
+			case <-g.done:
+				return
+			}
+			select {
+			case g.verdict <- nil:
+			case <-g.done:
+				return
+			}
+		}
+	}()
+}
+
 // passUntil commits every wait that begins until cond holds.
 func (g *stepGate) passUntil(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -637,6 +655,16 @@ func (p *pipelineClient) seen(t *testing.T) []Grant {
 // the shard is piped: an epoch loop plus a delivery goroutine.
 func startPipeline(t *testing.T, cfg Config, scfg ServerConfig) (*Service, *Server, string, *stepGate) {
 	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return startPipelineOn(t, ln, cfg, scfg)
+}
+
+// startPipelineOn is startPipeline serving on a listener the caller made.
+func startPipelineOn(t *testing.T, ln net.Listener, cfg Config, scfg ServerConfig) (*Service, *Server, string, *stepGate) {
+	t.Helper()
 	svc, err := New(cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -646,10 +674,6 @@ func startPipeline(t *testing.T, cfg Config, scfg ServerConfig) (*Service, *Serv
 	gate := newStepGate()
 	scfg.Gate = gate
 	srv, err := NewServer(scfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -812,6 +836,221 @@ func TestPipelineGateErrorDiscardsBothBuffers(t *testing.T) {
 	if got := c.seen(t); len(got) != 0 {
 		t.Fatalf("the first connection saw %+v", got)
 	}
+}
+
+// watchedListener keeps the server side of every connection it accepts, in
+// accept order, so a test can see what the server writes to each.
+type watchedListener struct {
+	net.Listener
+	mu    sync.Mutex
+	conns []*watchedConn
+}
+
+func listenWatched(t *testing.T) *watchedListener {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	return &watchedListener{Listener: ln}
+}
+
+func (l *watchedListener) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if err != nil {
+		return nil, err
+	}
+	wc := &watchedConn{Conn: c, closed: make(chan struct{})}
+	l.mu.Lock()
+	l.conns = append(l.conns, wc)
+	l.mu.Unlock()
+	return wc, nil
+}
+
+// accepted returns the i-th accepted connection. A client whose Dial has
+// returned has read its welcome, so its connection is already listed.
+func (l *watchedListener) accepted(i int) *watchedConn {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	return l.conns[i]
+}
+
+// watchedConn counts the bytes the server has written to one connection.
+// Once stalled, its Writes block until the connection is closed, as a Write
+// to a reader that has stopped reading does once the kernel's buffers are
+// full — but without depending on how much the kernel buffers.
+type watchedConn struct {
+	net.Conn
+	written   atomic.Int64 // bytes of completed Writes
+	stalled   atomic.Bool
+	blocked   atomic.Bool // a Write is blocked by the stall
+	closed    chan struct{}
+	closeOnce sync.Once
+}
+
+func (c *watchedConn) Write(p []byte) (int, error) {
+	if c.stalled.Load() {
+		c.blocked.Store(true)
+		<-c.closed
+		c.blocked.Store(false)
+		return 0, net.ErrClosed
+	}
+	n, err := c.Conn.Write(p)
+	c.written.Add(int64(n))
+	return n, err
+}
+
+func (c *watchedConn) Close() error {
+	c.closeOnce.Do(func() { close(c.closed) })
+	return c.Conn.Close()
+}
+
+// TestGrantWrittenBeforeNextCommitWait: a piped shard's deliverer does not
+// enter its next commit wait before the connection writer it woke has taken
+// the grants it delivered. A commit wait may be a blocking fsync, which
+// keeps the deliverer's processor — and a writer readied on it — until the
+// runtime retakes the processor. On one processor the order is exact: with
+// the deliverer going straight from one delivery into the next wait, the
+// gate sees that wait begin before the writer has ever run. It is not
+// parallel: it sets GOMAXPROCS.
+func TestGrantWrittenBeforeNextCommitWait(t *testing.T) {
+	prev := runtime.GOMAXPROCS(1)
+	t.Cleanup(func() { runtime.GOMAXPROCS(prev) })
+	ln := listenWatched(t)
+	_, srv, addr, gate := startPipelineOn(t, ln, Config{ShardCap: 64, Seed: 3}, ServerConfig{})
+	c := dialPipeline(t, addr)
+	conn := ln.accepted(0)
+	welcome := conn.written.Load()
+
+	c.acquire(t, 1)
+	gate.awaitEntered(t) // a1's epoch is in flight
+	c.acquire(t, 2)
+	d := &srv.deliver[0]
+	waitFor(t, "a2's epoch to be staged behind a1's", func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.pend.staged) == 1
+	})
+	gate.verdict <- nil  // a1 commits; the deliverer wakes the writer
+	gate.awaitEntered(t) // and begins the wait for a2
+	if conn.written.Load() == welcome {
+		t.Fatal("the deliverer began its next commit wait before a1's grant frame was written")
+	}
+	gate.verdict <- nil
+	waitFor(t, "both grants", func() bool { return len(c.seen(t)) == 2 })
+}
+
+// TestServerBackpressureBehindGate is TestServerBackpressureOnCoalescedGrants
+// on a piped shard. The deliverer waits for the writers it wakes, so it must
+// never wait on one that is busy in a Write to a reader that has stopped
+// reading: a reading connection on the same shard keeps receiving grants
+// while the stalled writer sits in its Write, and the stalled connection is
+// still dropped at MaxConnQueue, releasing everything it was granted.
+func TestServerBackpressureBehindGate(t *testing.T) {
+	t.Parallel()
+	ln := listenWatched(t)
+	// IOTimeout is far beyond the test's deadline, so only the cap can drop
+	// the stalled connection in time.
+	svc, _, addr, gate := startPipelineOn(t, ln, Config{ShardCap: 1 << 15, Seed: 9},
+		ServerConfig{MaxConnQueue: 16 << 10, MaxOutstanding: 1 << 16, IOTimeout: time.Minute})
+	gate.passAll()
+	deadline := time.Now().Add(10 * time.Second)
+
+	good, err := Dial(addr, ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer good.Close()
+	g0, err := good.AcquireSync(7)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// churn acquires and releases one name on the good connection.
+	client := uint64(1 << 20)
+	churn := func() {
+		t.Helper()
+		done := make(chan error, 1)
+		go func(client uint64) {
+			g, err := good.AcquireSync(client)
+			if err == nil {
+				err = good.ReleaseSync(g.Name)
+			}
+			done <- err
+		}(client)
+		client++
+		select {
+		case err := <-done:
+			if err != nil {
+				t.Fatalf("good connection: %v", err)
+			}
+		case <-time.After(time.Until(deadline)):
+			t.Fatal("good connection's grant held up behind the stalled writer")
+		}
+	}
+
+	// The hog floods acquires and never reads its grants.
+	raw, err := net.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer raw.Close()
+	var w wire.Writer
+	appendSvcHello(&w)
+	if err := wire.WriteFrame(raw, w.Bytes()); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := wire.ReadFrame(raw, nil, svcMaxFrame); err != nil {
+		t.Fatalf("welcome: %v", err)
+	}
+	hog := ln.accepted(1)
+	hog.stalled.Store(true)
+	next := uint64(100)
+	flood := func() error {
+		for i := 0; i < 64; i++ {
+			w.Reset()
+			appendAcquire(&w, next, next)
+			next++
+			raw.SetWriteDeadline(time.Now().Add(100 * time.Millisecond))
+			if err := wire.WriteFrame(raw, w.Bytes()); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	if err := flood(); err != nil {
+		t.Fatal(err)
+	}
+	waitFor(t, "the hog's writer to block in a Write", hog.blocked.Load)
+
+	// The good connection keeps churning on the same shard, each grant
+	// delivered by the deliverer that also delivers to the hog.
+	for i := 0; i < 8; i++ {
+		churn()
+		if err := flood(); err != nil {
+			t.Fatalf("the hog was dropped below the cap: %v", err)
+		}
+	}
+	if !hog.blocked.Load() {
+		t.Fatal("the hog's stalled Write returned while its connection was open")
+	}
+
+	// Grants pile up in the stalled outbox until the cap drops the hog, which
+	// surfaces here as a write error.
+	var writeErr error
+	for time.Now().Before(deadline) && writeErr == nil {
+		writeErr = flood()
+	}
+	if writeErr == nil {
+		t.Fatal("server never disconnected the stalled connection")
+	}
+	waitFor(t, "hog's names all released", func() bool {
+		st := svc.Stats()
+		return st.Assigned == 1 && st.Pending == 0
+	})
+	if err := good.ReleaseSync(g0.Name); err != nil {
+		t.Fatalf("good connection broken by the hog: %v", err)
+	}
+	churn()
 }
 
 // TestManualEpochDeliversSynchronouslyBehindGate: manual epochs have no
