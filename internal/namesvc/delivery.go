@@ -1,0 +1,296 @@
+package namesvc
+
+import (
+	"runtime"
+	"sync"
+
+	"ballsintoleaves/internal/wire"
+)
+
+// Epoch loops, manual epoch closes and each shard's delivery pipeline.
+// Locks, in ARCHITECTURE's "Lock order, stated once": manualMu (taken
+// holding nothing) → the delivery lock, shardDelivery.mu (the epoch loop
+// holds it across CloseEpoch, the deliverer takes it to swap) → the shard
+// lock. The commit step (commitGrants: binding stripe → c.mu) and both of
+// delivery's waits hold no other lock, but manualMu on a manual close.
+
+// maxStagedGrants is each shard's pipeline window: the epoch loop stops
+// closing epochs while this many closed-but-undelivered grants are staged
+// behind the batch in flight, bounding the delivery scratch and the backlog
+// ahead of a drain's first epoch.
+const maxStagedGrants = 4096
+
+// closeManualEpoch closes exactly one epoch on a shard and delivers its
+// grants — the server half of the epoch op. With no epoch loop and no
+// deliverer, the manual mutex makes the read loop that sent the op the
+// shard's only deliverer: it swaps pend into fly and delivers it itself,
+// waits included, so every grant frame of the epoch is committed to its
+// outbox before the reply is encoded.
+func (s *Server) closeManualEpoch(shard int) (epoch uint64, granted int, err error) {
+	s.manualMu[shard].Lock()
+	defer s.manualMu[shard].Unlock()
+	grants, err := s.svc.CloseEpoch(shard)
+	granted = len(grants)
+	d := &s.deliver[shard]
+	d.pend, d.fly = d.fly, d.pend
+	s.deliverFly(shard)
+	return s.svc.ShardEpoch(shard), granted, err
+}
+
+// epochLoop drives the stripe of shards loop w owns (w, w+workers, …): on a
+// kick it drains every owned shard in turn, so when shards outnumber cores a
+// burst touching several shards costs one goroutine handoff, not one per
+// shard (checking a quiet shard is one short lock acquisition). It closes
+// epochs as soon as it is kicked; arrivals during one epoch's run form the
+// next batch (and drainShard's yield lets a racing burst join this one).
+func (s *Server) epochLoop(w int) {
+	defer s.wg.Done()
+	shards := s.svc.Shards()
+	defer func() {
+		// Nothing more will be staged: let each owned shard's deliverer
+		// drain pend and exit.
+		for shard := w; shard < shards; shard += s.workers {
+			d := &s.deliver[shard]
+			d.mu.Lock()
+			d.stop = true
+			d.cond.Broadcast()
+			d.mu.Unlock()
+		}
+	}()
+	for {
+		select {
+		case <-s.stop:
+			return
+		case <-s.kicks[w]:
+		}
+		for shard := w; shard < shards; shard += s.workers {
+			s.drainShard(shard)
+		}
+	}
+}
+
+// drainShard closes epochs on one shard until nothing more can be
+// assigned — requests that queued during an epoch's renaming run form the
+// next batch without another kick. It only stages; the shard's deliverer
+// takes whatever one delivery left staged in its next.
+func (s *Server) drainShard(shard int) {
+	for {
+		// Yield once before closing: a kick often races the rest of the
+		// kicker's burst (and other connections' bursts) through
+		// ingestion, and on a loaded machine one scheduler pass lets
+		// those arrivals join this epoch instead of fragmenting into
+		// the next — micro-batching without a timer. Idle systems pay
+		// nanoseconds.
+		runtime.Gosched()
+		granted, err := s.closeStaged(shard)
+		if err != nil {
+			// The batch stays queued; log and wait for the next kick
+			// rather than spinning on a persistent failure.
+			s.cfg.Logf("shard %d: epoch failed: %v", shard, err)
+			return
+		}
+		if granted > 0 {
+			continue
+		}
+		// No accepted grants — but an epoch may still have run with
+		// every grant absorbed (the whole batch's connections died),
+		// leaving later arrivals queued with nobody left to kick.
+		// Keep draining while another epoch could assign; stop when
+		// the queue is empty or the namespace is exhausted (a release
+		// will kick us) — or the server is closing.
+		if !s.svc.EpochRunnable(shard) || s.stopping() {
+			return
+		}
+	}
+}
+
+// closeStaged closes one epoch on a shard, its accepted grants staging into
+// the shard's pend batch (connReq.GrantNotify), and reports how many were
+// accepted. It holds the delivery lock, so the deliverer swaps pend away
+// between epochs, never during one; it waits for room in the window first
+// (whatever queues meanwhile forms one larger epoch) and wakes the deliverer
+// after.
+func (s *Server) closeStaged(shard int) (granted int, err error) {
+	d := &s.deliver[shard]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	for len(d.pend.staged) >= maxStagedGrants {
+		if s.stopping() {
+			return 0, nil
+		}
+		d.cond.Wait()
+	}
+	grants, err := s.svc.CloseEpoch(shard)
+	if len(grants) > 0 {
+		d.cond.Broadcast()
+	}
+	return len(grants), err
+}
+
+// stagedGrant is one accepted grant awaiting delivery, linked to the next
+// staged grant of the same connection.
+type stagedGrant struct {
+	req  *connReq
+	g    Grant
+	next int32
+}
+
+// grantRun is one connection's chain of staged grants within a batch.
+type grantRun struct {
+	conn       *svcConn
+	head, tail int32
+}
+
+// grantBatch is a set of accepted grants awaiting delivery, in epoch order,
+// chained per destination connection. Everything is reused batch to batch.
+type grantBatch struct {
+	staged []stagedGrant
+	runs   []grantRun
+	byConn map[*svcConn]int32 // conn -> index into runs
+}
+
+func newGrantBatch() *grantBatch {
+	return &grantBatch{byConn: make(map[*svcConn]int32)}
+}
+
+// stage links one accepted grant onto its connection's run.
+func (b *grantBatch) stage(r *connReq, g Grant) {
+	idx := int32(len(b.staged))
+	b.staged = append(b.staged, stagedGrant{req: r, g: g, next: -1})
+	if ri, ok := b.byConn[r.c]; ok {
+		b.staged[b.runs[ri].tail].next = idx
+		b.runs[ri].tail = idx
+	} else {
+		b.byConn[r.c] = int32(len(b.runs))
+		b.runs = append(b.runs, grantRun{conn: r.c, head: idx, tail: idx})
+	}
+}
+
+func (b *grantBatch) reset() {
+	b.staged = b.staged[:0]
+	b.runs = b.runs[:0]
+	clear(b.byConn)
+}
+
+// shardDelivery is one shard's delivery stage: a double buffer of grant
+// batches, the same pend/fly pattern as a connection's outbox. CloseEpoch's
+// grant notifies stage accepted grants into pend, under the shard lock. The
+// deliverer swaps pend with fly, waits once for the gate to commit the whole
+// fly batch (no wait without a gate), then commits each connection's run —
+// its frames encoded contiguously, appended to its outbox under one lock,
+// with one writer wakeup — while the epoch loop stages the next epochs into
+// pend. mu guards pend; fly and the scratch belong to the deliverer (to the
+// manual closer, under ManualEpochs).
+type shardDelivery struct {
+	mu   sync.Mutex
+	cond sync.Cond // pend gained grants, pend was swapped away, or stop
+	stop bool      // the epoch loop has exited; drain pend and exit
+	pend *grantBatch
+
+	fly    *grantBatch
+	w      wire.Writer    // frame-body encode scratch
+	buf    []byte         // contiguous frames for the run being built
+	rel    []Grant        // grants to release (recipient gone mid-flight)
+	pickup sync.WaitGroup // the writer a commit woke, until it takes its batch
+}
+
+// deliverLoop is a shard's deliverer: take everything the epoch loop has
+// staged, wait for its commit, deliver it, repeat. At most one commit wait
+// per shard is ever in flight, always from here. It exits once the epoch
+// loop has and pend is drained, so grants staged for connections that died
+// with the server are still released.
+//
+// Wake, then wait: it goes on toward its next commit wait only once every
+// writer this delivery woke from its idle wait has taken its outbox batch.
+// A commit wait can be a blocking fsync, and a goroutine blocked in a system
+// call keeps its processor — with the writer it just readied there — until
+// the runtime's monitor retakes it, up to 10 ms on a partly idle process. A
+// writer busy in a Write to a slow reader was not woken and is never waited
+// on.
+func (s *Server) deliverLoop(shard int) {
+	defer s.wg.Done()
+	d := &s.deliver[shard]
+	for {
+		d.mu.Lock()
+		for len(d.pend.staged) == 0 && !d.stop {
+			d.cond.Wait()
+		}
+		if len(d.pend.staged) == 0 {
+			d.mu.Unlock()
+			return
+		}
+		d.pend, d.fly = d.fly, d.pend
+		d.cond.Broadcast() // room in the window
+		d.mu.Unlock()
+		s.deliverFly(shard)
+	}
+}
+
+// deliverFly commits the shard's fly batch — the staged grants of one or
+// more epochs, in epoch order — one connection at a time: frames are
+// encoded outside any lock, then commitGrants appends them to the
+// connection's outbox, binds the names to it and retires their requests
+// under a single lock with a single cond-signal. Grants whose connection
+// vanished between the in-epoch accept and this commit are released here —
+// the name returns to the pool having never been observable on the wire.
+//
+// A commit that wakes a parked writer is followed at once by a wait until
+// that writer has taken its batch (see deliverLoop): the wakeup put it in
+// this processor's next-to-run slot, so parking here runs it. One wait after
+// the whole batch would queue every writer but the last behind the rest.
+func (s *Server) deliverFly(shard int) {
+	d := &s.deliver[shard]
+	b := d.fly
+	if len(b.staged) == 0 {
+		return
+	}
+	if g := s.cfg.Gate; g != nil {
+		// The commit rule: nothing reaches a client until the gate says the
+		// shard's records are committed; one wait covers the whole batch. On
+		// error the node was deposed with these grants in flight — discard
+		// them undelivered, with whatever later epochs staged behind them.
+		// No client ever observed any of them, so the new leader may
+		// re-grant the names; the catch-up resync that follows deposition
+		// repairs the local ledger.
+		if err := g.WaitCommitted(shard); err != nil {
+			d.mu.Lock()
+			n := len(b.staged) + len(d.pend.staged)
+			d.pend.reset()
+			b.reset() // under mu too, so both buffers empty at once
+			d.cond.Broadcast()
+			d.mu.Unlock()
+			s.cfg.Logf("shard %d: discarding %d staged grants: %v", shard, n, err)
+			return
+		}
+	}
+	released := false
+	for i := range b.runs {
+		run := &b.runs[i]
+		d.buf = d.buf[:0]
+		for j := run.head; j >= 0; j = b.staged[j].next {
+			sg := &b.staged[j]
+			d.w.Reset()
+			appendGrant(&d.w, sg.req.tag, sg.g)
+			d.buf = wire.AppendFrame(d.buf, d.w.Bytes())
+		}
+		d.rel = run.conn.commitGrants(shard, b, run.head, d.buf, d.rel[:0])
+		d.pickup.Wait()
+		for _, g := range d.rel {
+			if err := s.svc.Release(g.Client, g.Name); err != nil {
+				s.cfg.Logf("%v: releasing undeliverable grant of %d: %v",
+					run.conn.conn.RemoteAddr(), g.Name, err)
+				continue
+			}
+			released = true
+		}
+	}
+	b.reset()
+	if released {
+		// The freed capacity may be the only thing standing between queued
+		// acquires and an exhausted shard, and the drain that staged these
+		// grants has already sampled EpochRunnable — re-kick so the epoch
+		// loop observes the returns (teardown does the same for held
+		// names).
+		s.kick(shard)
+	}
+}

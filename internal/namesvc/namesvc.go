@@ -645,43 +645,22 @@ func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 
 // CloseEpochs runs CloseEpoch on every shard and concatenates the grants in
 // shard order — the convenience driver for tests, examples, and embedders
-// without their own per-shard epoch loops. Shards are fanned out across a
-// worker pool bounded by GOMAXPROCS, so concurrent shard epochs overlap on
-// multi-core; every shard runs even if another errors, and the result — the
-// shard-ordered grant concatenation and the lowest-shard error, if any — is
-// identical to closing each shard sequentially. The returned grants are
-// copies, valid indefinitely.
+// without their own per-shard epoch loops. Shards are striped across
+// min(GOMAXPROCS, shards) workers, as the server's epoch loops stripe them,
+// so concurrent shard epochs overlap on multi-core; every shard runs even if
+// another errors, and the result — the shard-ordered grant concatenation
+// and the lowest-shard error, if any — is identical to closing each shard
+// sequentially. The returned grants are copies, valid indefinitely.
 func (s *Service) CloseEpochs() ([]Grant, error) {
 	workers := min(len(s.shards), runtime.GOMAXPROCS(0))
-	if workers <= 1 {
-		var all []Grant
-		var firstErr error
-		for i := range s.shards {
-			grants, err := s.CloseEpoch(i)
-			if err != nil && firstErr == nil {
-				firstErr = err
-			}
-			all = append(all, grants...)
-		}
-		return all, firstErr
-	}
 	perShard := make([][]Grant, len(s.shards))
 	errs := make([]error, len(s.shards))
-	var next sync.Mutex
-	cursor := 0
 	var wg sync.WaitGroup
 	for w := 0; w < workers; w++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			for {
-				next.Lock()
-				i := cursor
-				cursor++
-				next.Unlock()
-				if i >= len(s.shards) {
-					return
-				}
+			for i := w; i < len(s.shards); i += workers {
 				grants, err := s.CloseEpoch(i)
 				errs[i] = err
 				// CloseEpoch returns the shard's reusable scratch; copy
@@ -723,116 +702,4 @@ func checkPermutation(ranks []int, n int, seen []bool) error {
 		seen[r-1] = true
 	}
 	return nil
-}
-
-// Stats is a point-in-time summary across all shards.
-type Stats struct {
-	Shards   int
-	ShardCap int
-	// Epochs is the total number of completed epochs, summed over shards.
-	Epochs uint64
-	// Assigned and Free partition the namespace; Pending counts queued
-	// requests not yet granted.
-	Assigned int
-	Free     int
-	Pending  int
-	// Acquires counts requests accepted; Grants counts names handed out
-	// (including re-grants after release); Releases counts names returned;
-	// Absorbed counts grants whose requester vanished mid-epoch and whose
-	// names bounced straight back (Grants includes them).
-	Acquires uint64
-	Grants   uint64
-	Releases uint64
-	Absorbed uint64
-	// Digests holds each shard's rolling ledger digest, indexed by shard —
-	// the fingerprint a restarted instance must reproduce.
-	Digests []uint64
-	// WALRecords and WALSnapshots count durability artifacts written;
-	// WALFailures counts failed durability operations (a non-zero value
-	// means at least one shard has degraded to volatile — see the failure
-	// policy in durability.go). All zero on volatile services.
-	WALRecords   uint64
-	WALSnapshots uint64
-	WALFailures  uint64
-	// Replication status, filled by the Server from its commit gate (the
-	// Service itself knows nothing of replication): the node's current
-	// term and role, why it last changed term or role (for example
-	// "won-election", "saw-higher-term", or "check-quorum-stepdown: "
-	// followed by each peer's last-heard age), and the highest
-	// replication-log index it has compacted away. Zero /
-	// empty / RoleStandalone on unreplicated servers.
-	ReplTerm       uint64
-	ReplRole       Role
-	ElectionReason string
-	CompactFloor   uint64
-}
-
-// Stats collects the summary, locking each shard in turn.
-func (s *Service) Stats() Stats {
-	st := Stats{
-		Shards:   len(s.shards),
-		ShardCap: s.cfg.ShardCap,
-		Digests:  make([]uint64, len(s.shards)),
-	}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		st.Epochs += sh.led.epoch
-		free := sh.led.freeCount()
-		st.Free += free
-		st.Assigned += s.cfg.ShardCap - free
-		st.Pending += sh.queued
-		st.Acquires += sh.acquires
-		st.Grants += sh.led.assigns
-		st.Releases += sh.led.releases
-		st.Absorbed += sh.absorbed
-		st.Digests[i] = sh.led.digest
-		if d := sh.dur; d != nil {
-			st.WALRecords += d.records
-			st.WALSnapshots += d.snapshots
-			st.WALFailures += d.failures
-		}
-		sh.mu.Unlock()
-	}
-	return st
-}
-
-// ShardJournal returns a copy of a shard's retained assignment journal
-// (only populated with Config.Journal set; with Config.JournalLimit it is
-// the most recent window, oldest first).
-func (s *Service) ShardJournal(shardIdx int) []Entry {
-	sh := s.shards[shardIdx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return append([]Entry(nil), sh.led.journalWindow()...)
-}
-
-// ShardEpoch returns a shard's completed-epoch count.
-func (s *Service) ShardEpoch(shardIdx int) uint64 {
-	sh := s.shards[shardIdx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.led.epoch
-}
-
-// ShardDigest returns a shard's rolling ledger digest.
-func (s *Service) ShardDigest(shardIdx int) uint64 {
-	sh := s.shards[shardIdx]
-	sh.mu.Lock()
-	defer sh.mu.Unlock()
-	return sh.led.digest
-}
-
-// Digest folds every shard's ledger digest into one value: two instances
-// that processed the same trace agree on it, and any divergence in any
-// shard's assignment history changes it.
-func (s *Service) Digest() uint64 {
-	d := uint64(fnvOffset)
-	for i := range s.shards {
-		v := s.ShardDigest(i)
-		for sft := 0; sft < 64; sft += 8 {
-			d ^= (v >> sft) & 0xff
-			d *= fnvPrime
-		}
-	}
-	return d
 }

@@ -49,7 +49,7 @@ func zeroMeta() meta { return meta{VotedFor: -1} }
 // memMeta is the memory-only store (tests without restart coverage).
 type memMeta struct{ m meta }
 
-func newMemMeta() *memMeta          { return &memMeta{m: zeroMeta()} }
+func newMemMeta() *memMeta             { return &memMeta{m: zeroMeta()} }
 func (s *memMeta) load() (meta, error) { return s.m, nil }
 func (s *memMeta) save(m meta) error   { s.m = m; return nil }
 

@@ -652,7 +652,7 @@ func (p *pipelineClient) seen(t *testing.T) []Grant {
 }
 
 // startPipeline serves a one-shard volatile service behind a stepGate, so
-// the shard is piped: an epoch loop plus a delivery goroutine.
+// the test decides when each of the shard deliverer's commit waits returns.
 func startPipeline(t *testing.T, cfg Config, scfg ServerConfig) (*Service, *Server, string, *stepGate) {
 	t.Helper()
 	ln, err := net.Listen("tcp", "127.0.0.1:0")
@@ -905,7 +905,7 @@ func (c *watchedConn) Close() error {
 	return c.Conn.Close()
 }
 
-// TestGrantWrittenBeforeNextCommitWait: a piped shard's deliverer does not
+// TestGrantWrittenBeforeNextCommitWait: a shard's deliverer does not
 // enter its next commit wait before the connection writer it woke has taken
 // the grants it delivered. A commit wait may be a blocking fsync, which
 // keeps the deliverer's processor — and a writer readied on it — until the
@@ -941,7 +941,7 @@ func TestGrantWrittenBeforeNextCommitWait(t *testing.T) {
 }
 
 // TestServerBackpressureBehindGate is TestServerBackpressureOnCoalescedGrants
-// on a piped shard. The deliverer waits for the writers it wakes, so it must
+// behind a gate. The deliverer waits for the writers it wakes, so it must
 // never wait on one that is busy in a Write to a reader that has stopped
 // reading: a reading connection on the same shard keeps receiving grants
 // while the stalled writer sits in its Write, and the stalled connection is
@@ -1097,10 +1097,10 @@ func TestManualEpochDeliversSynchronouslyBehindGate(t *testing.T) {
 
 // TestServerSchedulerShapes runs the one epoch loop in each shape NewServer
 // gives it — a stripe of shards per loop when shards outnumber cores (with
-// inline and with piped delivery), one loop per shard when cores cover the
-// shards, and no loops at all under ManualEpochs — and requires the same
-// outcome from each: every acquire granted exactly once, and Close
-// returning with every piped shard's deliverer told to stop. It is not
+// and without a gate), one loop per shard when cores cover the shards, and
+// no loops at all under ManualEpochs — and requires the same outcome from
+// each: every acquire granted exactly once, and Close returning with every
+// shard's deliverer told to stop and every name released. It is not
 // parallel: the loop count follows GOMAXPROCS while NewServer runs.
 func TestServerSchedulerShapes(t *testing.T) {
 	const shards, clients = 4, 64
@@ -1186,14 +1186,16 @@ func TestServerSchedulerShapes(t *testing.T) {
 			if err := <-served; err != nil {
 				t.Errorf("serve: %v", err)
 			}
+			// Only an exiting epoch loop stops a deliverer, so a stopped one
+			// means the shard had both; manual epochs have neither.
 			for i := range srv.deliver {
-				d := &srv.deliver[i]
-				if want := tc.gate && tc.workers > 0; d.piped != want {
-					t.Errorf("shard %d piped = %v, want %v", i, d.piped, want)
+				if d := &srv.deliver[i]; d.stop != (tc.workers > 0) {
+					t.Errorf("shard %d: deliverer told to stop = %v, want %v", i, d.stop, tc.workers > 0)
 				}
-				if d.piped && !d.stop {
-					t.Errorf("shard %d: deliverer was not told to stop", i)
-				}
+			}
+			if st := svc.Stats(); st.Assigned != 0 || st.Pending != 0 {
+				t.Errorf("after Close: %d names assigned, %d acquires pending; want every name released",
+					st.Assigned, st.Pending)
 			}
 		})
 	}
