@@ -107,7 +107,7 @@ func parseFlags(args []string) (*config, error) {
 	fs.IntVar(&cfg.shards, "shards", 2, "namespace shards per daemon")
 	fs.IntVar(&cfg.shardCap, "shard-cap", 1024, "names per shard")
 	fs.Uint64Var(&cfg.seed, "seed", 0, "seed driving every epoch's renaming randomness")
-	fs.StringVar(&cfg.fsync, "fsync", "group", "WAL flush policy passed to every daemon")
+	fs.StringVar(&cfg.fsync, "fsync", "group", "WAL flush policy passed to every daemon: epoch or group")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096,
 		"checkpoint a shard after this many WAL records")
 	fs.DurationVar(&cfg.electionTimeout, "election-timeout", 300*time.Millisecond,

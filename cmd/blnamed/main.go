@@ -32,12 +32,11 @@
 // "epoch" fsyncs every WAL record before its grants are acknowledged,
 // "group" delivers a shard's grants only after a flush covering their
 // records (one fsync absorbs every epoch the shard closed while the
-// previous one was on the disk, and the shards' flushes overlap), "off"
-// leaves flushing to the OS, and a duration ("100ms") fsyncs on that
-// interval. Clients that held names before a crash re-attach them with the
-// reclaim op and release them normally. A SIGTERM drain writes a final
-// checkpoint, so a clean restart recovers from a snapshot instead of a log
-// replay.
+// previous one was on the disk, and the shards' flushes overlap). Either
+// way no client sees a grant a power cut could forget. Clients that held
+// names before a crash re-attach them with the reclaim op and release them
+// normally. A SIGTERM drain writes a final checkpoint, so a clean restart
+// recovers from a snapshot instead of a log replay.
 //
 // -replicate turns the daemon into one member of a fault-tolerant cluster
 // (see internal/namesvc/repl): -peers lists every member's replication and
@@ -86,7 +85,6 @@ type config struct {
 	manualEpochs   bool
 	dataDir        string
 	fsyncMode      namesvc.FsyncMode
-	fsyncEvery     time.Duration
 	snapshotEvery  int
 
 	replicate       bool
@@ -120,7 +118,7 @@ func newFlagSet(cfg *config, fsync, peers *string) *flag.FlagSet {
 	fs.StringVar(&cfg.dataDir, "data-dir", "",
 		"directory for per-shard write-ahead logs and snapshots; empty = volatile")
 	fs.StringVar(fsync, "fsync", "epoch",
-		"with -data-dir, WAL flush policy: epoch (fsync every record), group (grants wait for one flush shared by every epoch closed meanwhile), off, or an interval like 100ms")
+		"with -data-dir, WAL flush policy: epoch (fsync every record) or group (grants wait for one flush shared by every epoch closed meanwhile)")
 	fs.IntVar(&cfg.snapshotEvery, "snapshot-every", 4096,
 		"with -data-dir, checkpoint a shard after this many WAL records")
 	fs.BoolVar(&cfg.replicate, "replicate", false,
@@ -166,15 +164,8 @@ func parseFlags(args []string) (*config, error) {
 		cfg.fsyncMode = namesvc.FsyncPerEpoch
 	case "group":
 		cfg.fsyncMode = namesvc.FsyncGroup
-	case "off":
-		cfg.fsyncMode = namesvc.FsyncOff
 	default:
-		d, err := time.ParseDuration(fsync)
-		if err != nil || d <= 0 {
-			return nil, fmt.Errorf("blnamed: -fsync must be epoch, group, off, or a positive duration, got %q", fsync)
-		}
-		cfg.fsyncMode = namesvc.FsyncInterval
-		cfg.fsyncEvery = d
+		return nil, fmt.Errorf("blnamed: -fsync must be epoch or group, got %q", fsync)
 	}
 	if cfg.replicate {
 		if peers == "" {
@@ -243,7 +234,6 @@ func build(cfg *config) (*namesvc.Server, *namesvc.Service, *repl.Node, error) {
 		svcCfg.Durable = &namesvc.Durability{
 			Sinks:         sinks,
 			Fsync:         cfg.fsyncMode,
-			FsyncEvery:    cfg.fsyncEvery,
 			SnapshotEvery: cfg.snapshotEvery,
 			Logf: func(format string, args ...any) {
 				fmt.Fprintf(os.Stderr, "blnamed: "+format+"\n", args...)
@@ -279,14 +269,10 @@ func build(cfg *config) (*namesvc.Server, *namesvc.Service, *repl.Node, error) {
 		MaxConnQueue:   cfg.maxConnQueue,
 		ManualEpochs:   cfg.manualEpochs,
 	}
-	switch {
-	case node != nil:
+	if node != nil {
 		// Replication is the commit rule: writes only on the leader,
 		// grants only after a quorum holds the records behind them.
 		scfg.Gate = node
-	case cfg.fsyncMode == namesvc.FsyncGroup && cfg.dataDir != "":
-		// Standalone group commit: a shard's grants wait for its WAL flush.
-		scfg.Gate = namesvc.GroupGate(svc)
 	}
 	if !cfg.quiet {
 		scfg.Logf = func(format string, args ...any) {

@@ -44,6 +44,14 @@ func TestParseFlagsValidation(t *testing.T) {
 			t.Errorf("%s: accepted", tc.name)
 		}
 	}
+	// The policies that acknowledged a grant before its record was on disk
+	// are gone; the rejection names the two that remain.
+	for _, arg := range []string{"off", "100ms"} {
+		_, err := parseFlags([]string{"-listen", ":0", "-fsync", arg})
+		if err == nil || !strings.Contains(err.Error(), "epoch") || !strings.Contains(err.Error(), "group") {
+			t.Errorf("-fsync %s: err %v, want a rejection naming epoch and group", arg, err)
+		}
+	}
 	if _, err := parseFlags([]string{"-h"}); !errors.Is(err, flag.ErrHelp) {
 		t.Fatalf("-h err = %v", err)
 	}
@@ -63,20 +71,12 @@ func TestParseFlagsValidation(t *testing.T) {
 		t.Fatalf("default durability cfg = %+v", cfg)
 	}
 	cfg, err = parseFlags([]string{"-listen", ":0", "-data-dir", "/tmp/x",
-		"-fsync", "250ms", "-snapshot-every", "128"})
+		"-fsync", "group", "-snapshot-every", "128"})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if cfg.dataDir != "/tmp/x" || cfg.fsyncMode != namesvc.FsyncInterval ||
-		cfg.fsyncEvery != 250*time.Millisecond || cfg.snapshotEvery != 128 {
+	if cfg.dataDir != "/tmp/x" || cfg.fsyncMode != namesvc.FsyncGroup || cfg.snapshotEvery != 128 {
 		t.Fatalf("durable cfg = %+v", cfg)
-	}
-	cfg, err = parseFlags([]string{"-listen", ":0", "-fsync", "off"})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if cfg.fsyncMode != namesvc.FsyncOff {
-		t.Fatalf("fsync off cfg = %+v", cfg)
 	}
 	cfg, err = parseFlags([]string{"-listen", "127.0.0.1:4801", "-data-dir", "/tmp/x",
 		"-fsync", "group", "-replicate", "-node-id", "1",
@@ -94,7 +94,6 @@ func TestParseFlagsValidation(t *testing.T) {
 	usage := newFlagSet(&config{}, new(string), new(string)).Lookup("fsync").Usage
 	for arg, want := range map[string]namesvc.FsyncMode{
 		"epoch": namesvc.FsyncPerEpoch, "group": namesvc.FsyncGroup,
-		"off": namesvc.FsyncOff, "100ms": namesvc.FsyncInterval,
 	} {
 		cfg, err := parseFlags([]string{"-listen", ":0", "-fsync", arg})
 		if err != nil || cfg.fsyncMode != want {

@@ -3,7 +3,6 @@ package namesvc
 import (
 	"fmt"
 	"sync"
-	"time"
 
 	"ballsintoleaves/internal/namesvc/durable"
 	"ballsintoleaves/internal/wire"
@@ -30,31 +29,24 @@ import (
 // single-node deployment cannot fully honor anyway; replication is the
 // planned fix, and the seam for it is the durable.Store record stream.
 
-// FsyncMode selects when WAL records reach stable storage.
+// FsyncMode selects when WAL records reach stable storage. Both modes
+// make a grant durable before any client can observe it; a mode that
+// acknowledged first (no fsync, or one on a timer) would let a power cut
+// forget a name its holder still holds, and the next epoch would grant it
+// again.
 type FsyncMode int
 
 const (
 	// FsyncPerEpoch fsyncs after every WAL record — every CloseEpoch and
-	// every release batch — so an acknowledged grant is durable before any
-	// client can observe it. The safest and slowest mode.
+	// every release batch — inline, before the shard lock is released.
 	FsyncPerEpoch FsyncMode = iota
-	// FsyncInterval fsyncs on a timer (Durability.FsyncEvery): a crash
-	// loses at most the last interval's acknowledged operations, recovery
-	// still sees a prefix-consistent ledger.
-	FsyncInterval
-	// FsyncOff never fsyncs; the OS flushes on its own schedule. A process
-	// kill loses nothing (the page cache survives); a machine crash loses
-	// an unbounded suffix — still prefix-consistent.
-	FsyncOff
 	// FsyncGroup is group commit: appends do not sync, and a grant is
 	// delivered only after a flush covering its record completes
-	// (Service.SyncShard for one shard, Service.SyncGroup for all). One
-	// fsync absorbs every record its shard appended before it began, so
-	// the epochs closed while the previous flush was in flight share the
-	// next one, and different shards' flushes overlap — per-epoch safety at
-	// a fraction of the cost. Requires a delivery gate that waits on it
-	// (Server does when ServerConfig.Gate is GroupGate or a replication
-	// node).
+	// (Service.SyncShard). One fsync absorbs every record its shard
+	// appended before it began, so the epochs closed while the previous
+	// flush was in flight share the next one, and different shards'
+	// flushes overlap. A Server over such a service waits on it by itself
+	// (see ServerConfig.Gate); a replication node's commit wait includes it.
 	FsyncGroup
 )
 
@@ -63,10 +55,6 @@ func (m FsyncMode) String() string {
 	switch m {
 	case FsyncPerEpoch:
 		return "epoch"
-	case FsyncInterval:
-		return "interval"
-	case FsyncOff:
-		return "off"
 	case FsyncGroup:
 		return "group"
 	default:
@@ -88,8 +76,6 @@ type Durability struct {
 	Sinks []durable.Sink
 	// Fsync selects the durability/throughput trade; see FsyncMode.
 	Fsync FsyncMode
-	// FsyncEvery is the FsyncInterval cadence; zero means 100ms.
-	FsyncEvery time.Duration
 	// SnapshotEvery checkpoints a shard after this many WAL records,
 	// bounding recovery replay and WAL disk growth. Zero means 4096.
 	SnapshotEvery int
@@ -102,10 +88,10 @@ func (d *Durability) normalized(shards int) (*Durability, error) {
 	if len(d.Sinks) != shards {
 		return nil, fmt.Errorf("namesvc: %d durability sinks for %d shards", len(d.Sinks), shards)
 	}
-	nd := *d
-	if nd.FsyncEvery <= 0 {
-		nd.FsyncEvery = 100 * time.Millisecond
+	if d.Fsync != FsyncPerEpoch && d.Fsync != FsyncGroup {
+		return nil, fmt.Errorf("namesvc: unknown fsync mode %v", d.Fsync)
 	}
+	nd := *d
 	if nd.SnapshotEvery <= 0 {
 		nd.SnapshotEvery = 4096
 	}
@@ -451,20 +437,25 @@ func tornNote(torn bool) string {
 	return ""
 }
 
-// syncShard is the one flush routine behind every fsync policy that syncs
-// after the fact — group-commit waits and the FsyncInterval tick alike. It
-// makes every record the shard appended before the call durable: the shard
-// lock is held only to see that the shard still logs, and the fsync itself
-// runs outside it (durable.Store.Sync), so the shard keeps taking acquires,
+// syncShard is the one flush routine: it makes every record the shard
+// appended before the call durable. Under FsyncPerEpoch every append has
+// already synced, so the watermark covers the segment and it returns at
+// once; under FsyncGroup it is the commit gates' wait. The shard lock is
+// held only to see that the shard still logs, and the fsync itself runs
+// outside it (durable.Store.Sync), so the shard keeps taking acquires,
 // releases and epoch closes — and appending the records the *next* flush
 // will cover — while this one is on the disk. A clean segment costs no
 // fsync. A genuine fsync failure degrades the shard (fail-open, see the
 // failure policy above) and is returned.
 func (s *Service) syncShard(shardIdx int) error {
 	sh := s.shards[shardIdx]
-	sh.mu.Lock()
+	// sh.dur is fixed once Open returns; the store's counters are atomic.
 	d := sh.dur
-	logging := d != nil && d.err == nil
+	if d == nil || d.store.Synced() >= d.store.Seq() {
+		return nil
+	}
+	sh.mu.Lock()
+	logging := d.err == nil
 	sh.mu.Unlock()
 	if !logging {
 		return nil
@@ -478,24 +469,22 @@ func (s *Service) syncShard(shardIdx int) error {
 	return err
 }
 
-// SyncWAL makes every record appended so far, on every shard, durable — the
-// FsyncInterval tick and the follower's apply→sync→acknowledge step, also
-// usable by embedders with their own durability clock. Shards with nothing
-// new are skipped; the rest flush concurrently, each on its own sink (see
-// syncShard), so the pass costs one flush time, not one per shard. The
-// caller flushes one of them itself: with every core's worth of threads
-// parked in fsyncs, being woken by a helper goroutine costs a scheduling
-// round the follower's acknowledgement would wait out (measured: more than
-// half of repl3-closed's throughput). It returns the lowest-numbered
-// failing shard's error. Passes are serialized on the pass's scratch — a
-// second caller's records are covered by a pass that starts after it
-// arrived, which is the one it runs itself.
+// SyncWAL makes every record appended so far, on every shard, durable: the
+// follower's apply→sync→acknowledge step, and the clock of an embedder that
+// wants one. Shards with nothing new are skipped; the rest flush
+// concurrently, each on its own sink (see syncShard), so the pass costs one
+// flush time, not one per shard. The caller flushes one of them itself:
+// with every core's worth of threads parked in fsyncs, being woken by a
+// helper goroutine costs a scheduling round the follower's acknowledgement
+// would wait out (measured: more than half of repl3-closed's throughput).
+// It returns the lowest-numbered failing shard's error. Passes are
+// serialized on the pass's scratch — a second caller's records are covered
+// by a pass that starts after it arrived, which is the one it runs itself.
 func (s *Service) SyncWAL() error {
 	s.walSync.mu.Lock()
 	defer s.walSync.mu.Unlock()
 	dirty := s.walSync.dirty[:0]
 	for i, sh := range s.shards {
-		// sh.dur is fixed once Open returns; the store's counters are atomic.
 		if d := sh.dur; d != nil && d.store.Seq() > d.store.Synced() {
 			dirty = append(dirty, i)
 		}
@@ -527,51 +516,24 @@ func (s *Service) SyncWAL() error {
 	return nil
 }
 
-// SyncGroup blocks until every WAL record appended before the call, on any
-// shard, is durable. In any mode other than FsyncGroup it is a no-op. Sync
-// failures degrade the affected shard (fail-open, see the failure policy
-// above) and are returned for observability.
-func (s *Service) SyncGroup() error {
-	if !s.groupCommit {
-		return nil
-	}
-	return s.SyncWAL()
-}
-
-// SyncShard is SyncGroup for one shard: it blocks until every WAL record
-// that shard appended before the call is durable — at once when a flush
-// has already covered them, after the flush in flight when that one
-// captured them, otherwise after one more. Delivery gates wait on it per
-// shard, so a shard's grants never wait for another shard's disk.
+// SyncShard blocks until every WAL record the shard appended before the
+// call is durable — at once when a flush has already covered them (always,
+// under FsyncPerEpoch), after the flush in flight when that one captured
+// them, otherwise after one more. Delivery gates wait on it per shard, so a
+// shard's grants never wait for another shard's disk. Sync failures degrade
+// the shard (fail-open, see the failure policy above) and are returned for
+// observability.
 func (s *Service) SyncShard(shardIdx int) error {
-	if !s.groupCommit {
-		return nil
-	}
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		return fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)
 	}
 	return s.syncShard(shardIdx)
 }
 
-// walSyncLoop drives FsyncInterval until Close.
-func (s *Service) walSyncLoop(every time.Duration) {
-	defer close(s.syncDone)
-	t := time.NewTicker(every)
-	defer t.Stop()
-	for {
-		select {
-		case <-s.syncStop:
-			return
-		case <-t.C:
-			s.SyncWAL()
-		}
-	}
-}
-
 // Checkpoint forces a snapshot + WAL rotation on every shard, returning
 // the first shard's durability error if any shard is degraded. Volatile
-// services return nil. blnamed calls it from the SIGTERM drain so a clean
-// shutdown restarts from a snapshot, not a replay.
+// services return nil. Close checkpoints too: that is how blnamed's SIGTERM
+// drain makes a clean restart recover from a snapshot, not a replay.
 func (s *Service) Checkpoint() error {
 	var first error
 	for i, sh := range s.shards {
@@ -588,16 +550,12 @@ func (s *Service) Checkpoint() error {
 	return first
 }
 
-// Close checkpoints every durable shard, stops the interval syncer, and
-// releases the stores. Safe to call on volatile services (no-op) and more
-// than once. The Service must be quiescent: no concurrent Acquire,
-// Release, or CloseEpoch (a Server must be Closed first).
+// Close checkpoints every durable shard and releases the stores. Safe to
+// call on volatile services (no-op) and more than once. The Service must be
+// quiescent: no concurrent Acquire, Release, or CloseEpoch (a Server must be
+// Closed first).
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
-		if s.syncStop != nil {
-			close(s.syncStop)
-			<-s.syncDone
-		}
 		for i, sh := range s.shards {
 			sh.mu.Lock()
 			if sh.dur != nil {

@@ -17,7 +17,7 @@ func buildWAL(b *testing.B, records int) *durable.MemSink {
 		Shards: 1, ShardCap: 512, Seed: 7, MaxBatch: 8,
 		Durable: &Durability{
 			Sinks:         []durable.Sink{sink},
-			Fsync:         FsyncOff,
+			Fsync:         FsyncGroup, // appends only: nothing here waits on a flush
 			SnapshotEvery: 1 << 30,
 		},
 	})
@@ -68,7 +68,7 @@ func BenchmarkDurableRecovery(b *testing.B) {
 					Shards: 1, ShardCap: 512, Seed: 7, MaxBatch: 8,
 					Durable: &Durability{
 						Sinks:         []durable.Sink{sink},
-						Fsync:         FsyncOff,
+						Fsync:         FsyncGroup,
 						SnapshotEvery: 1 << 30,
 					},
 				})

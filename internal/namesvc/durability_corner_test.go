@@ -5,7 +5,6 @@ import (
 	"net"
 	"reflect"
 	"testing"
-	"time"
 
 	"ballsintoleaves/internal/namesvc/durable"
 )
@@ -37,11 +36,11 @@ func cornerWorkload(t *testing.T, svc *Service) []Grant {
 	return held
 }
 
-// TestIntervalFsyncCloseOrdering pins the Close contract under FsyncInterval:
-// the background syncer is stopped before the final flush+checkpoint, Close
+// TestCleanCloseRecoversFromSnapshotAlone pins the Close contract under
+// group commit, where records may still be unsynced when Close begins: Close
 // is idempotent, and the image a clean Close leaves behind recovers from the
 // snapshot alone — zero WAL records to replay.
-func TestIntervalFsyncCloseOrdering(t *testing.T) {
+func TestCleanCloseRecoversFromSnapshotAlone(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Shards: 2, ShardCap: 16, Seed: 11, Journal: true, JournalLimit: 8}
 	raw := make([]*durable.MemSink, cfg.Shards)
@@ -50,25 +49,19 @@ func TestIntervalFsyncCloseOrdering(t *testing.T) {
 		raw[i] = durable.NewMemSink()
 		sinks[i] = raw[i]
 	}
-	cfg.Durable = &Durability{
-		Sinks:      sinks,
-		Fsync:      FsyncInterval,
-		FsyncEvery: time.Millisecond, // many ticks race the workload below
-		Logf:       t.Logf,
-	}
+	cfg.Durable = &Durability{Sinks: sinks, Fsync: FsyncGroup, Logf: t.Logf}
 	svc, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	cornerWorkload(t, svc)
-	time.Sleep(5 * time.Millisecond) // let the interval syncer actually tick
 	want := captureAll(svc)
 
 	if err := svc.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	// Idempotent: a second Close must not double-stop the syncer, re-run the
-	// checkpoint against a closed store, or return a new error.
+	// Idempotent: a second Close must not re-run the checkpoint against a
+	// closed store or return a new error.
 	if err := svc.Close(); err != nil {
 		t.Fatalf("second close: %v", err)
 	}
@@ -89,7 +82,7 @@ func TestIntervalFsyncCloseOrdering(t *testing.T) {
 
 	// And a full service recovery over the image reproduces the exact
 	// pre-close state, journal window included.
-	cfg.Durable = &Durability{Sinks: sinks, Fsync: FsyncInterval, Logf: t.Logf}
+	cfg.Durable = &Durability{Sinks: sinks, Fsync: FsyncGroup, Logf: t.Logf}
 	svc2, err := Open(cfg)
 	if err != nil {
 		t.Fatal(err)

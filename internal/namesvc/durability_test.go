@@ -349,14 +349,19 @@ func TestOpenAutoCapsJournal(t *testing.T) {
 }
 
 // TestOpenRejectsSinkMismatches pins the recovery guard rails: a sink
-// count that does not match the shard count, and a sink mounted under the
-// wrong shard, are construction errors — not scrambled namespaces.
+// count that does not match the shard count, an fsync mode that does not
+// exist, and a sink mounted under the wrong shard, are construction errors
+// — not scrambled namespaces.
 func TestOpenRejectsSinkMismatches(t *testing.T) {
 	t.Parallel()
 	cfg := Config{Shards: 2, ShardCap: 8}
 	cfg.Durable = &Durability{Sinks: []durable.Sink{durable.NewMemSink()}}
 	if _, err := Open(cfg); err == nil {
 		t.Fatal("one sink for two shards accepted")
+	}
+	cfg.Durable = &Durability{Sinks: []durable.Sink{durable.NewMemSink(), durable.NewMemSink()}, Fsync: FsyncGroup + 1}
+	if _, err := Open(cfg); err == nil {
+		t.Fatal("unknown fsync mode accepted")
 	}
 
 	// Write shard 1's data, then mount it under shard 0.

@@ -25,9 +25,8 @@ import (
 // Options parameterizes a Store.
 type Options struct {
 	// SyncEachAppend fsyncs the segment after every appended record — the
-	// per-epoch fsync policy. Off, the caller syncs on its own schedule
-	// (Store.Sync: an interval tick, a group-commit waiter) or accepts the
-	// OS flush cadence.
+	// per-epoch fsync policy. Off, the caller syncs when its commit rule
+	// asks (Store.Sync: a group-commit waiter).
 	SyncEachAppend bool
 	// MaxPayload bounds one record or snapshot payload; larger appends are
 	// rejected and larger length prefixes found during recovery are

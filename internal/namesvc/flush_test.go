@@ -124,14 +124,12 @@ func churnShard(t *testing.T, svc *Service, shard, n int) {
 	}
 }
 
-// TestIntervalTickSkipsCleanSegments: the FsyncInterval tick is SyncWAL,
-// and SyncWAL fsyncs only segments with records the last flush did not
-// cover — idle ticks cost nothing, a tick after traffic on one shard costs
-// that shard's fsync and no other.
-func TestIntervalTickSkipsCleanSegments(t *testing.T) {
+// TestSyncWALSkipsCleanSegments: SyncWAL fsyncs only segments with records
+// the last flush did not cover — an embedder's idle ticks cost nothing, a
+// tick after traffic on one shard costs that shard's fsync and no other.
+func TestSyncWALSkipsCleanSegments(t *testing.T) {
 	t.Parallel()
-	// The timer itself stays out of the way: the ticks below are explicit.
-	svc, spies := openSpied(t, Durability{Fsync: FsyncInterval, FsyncEvery: time.Hour})
+	svc, spies := openSpied(t, Durability{Fsync: FsyncGroup})
 	tick := func(n int) {
 		t.Helper()
 		for i := 0; i < n; i++ {
@@ -163,7 +161,7 @@ func TestIntervalTickSkipsCleanSegments(t *testing.T) {
 // the flush that was already in flight.
 func TestFsyncRunsOutsideShardLock(t *testing.T) {
 	t.Parallel()
-	svc, spies := openSpied(t, Durability{Fsync: FsyncInterval, FsyncEvery: time.Hour})
+	svc, spies := openSpied(t, Durability{Fsync: FsyncGroup})
 	churnShard(t, svc, 0, 1)
 	spies[0].parked = make(chan struct{})
 	spies[0].resume = make(chan struct{})
@@ -244,7 +242,7 @@ func TestFlushRacingCheckpoint(t *testing.T) {
 	wg.Add(3)
 	go hammer(func() error { return svc.SyncShard(0) }, stores[0])
 	go hammer(func() error { return svc.SyncShard(1) }, stores[1])
-	go hammer(svc.SyncGroup, stores...)
+	go hammer(svc.SyncWAL, stores...)
 	for n := 1; svc.Stats().WALSnapshots < 2*rotations; n++ {
 		if n > 1000 {
 			t.Fatal("the shards never checkpointed")
@@ -282,8 +280,8 @@ func TestFlushRacingCheckpoint(t *testing.T) {
 	spies[1].failWith.Store(&boom)
 	churnShard(t, svc, 0, 2000)
 	churnShard(t, svc, 1, 2000)
-	if err := svc.SyncGroup(); !errors.Is(err, boom) {
-		t.Fatalf("SyncGroup over a failing disk: %v, want %v", err, boom)
+	if err := svc.SyncWAL(); !errors.Is(err, boom) {
+		t.Fatalf("SyncWAL over a failing disk: %v, want %v", err, boom)
 	}
 	if err := svc.SyncShard(0); err != nil {
 		t.Fatalf("healthy shard 0: %v", err)
@@ -296,10 +294,57 @@ func TestFlushRacingCheckpoint(t *testing.T) {
 	}
 	// Degraded is sticky and quiet: later flushes skip the shard.
 	churnShard(t, svc, 1, 2001)
-	if err := svc.SyncGroup(); err != nil {
-		t.Fatalf("SyncGroup after the degrade: %v", err)
+	if err := svc.SyncWAL(); err != nil {
+		t.Fatalf("SyncWAL after the degrade: %v", err)
 	}
 	if st := svc.Stats(); st.WALFailures != 1 {
 		t.Fatalf("%d WAL failures, want the one", st.WALFailures)
+	}
+}
+
+// TestServerPicksItsServiceGate: a Server given no Gate over an FsyncGroup
+// service waits on the service's own flush — no grant frame reaches the
+// client while the fsync covering its record is parked on the disk, and
+// the grant arrives once that fsync returns.
+func TestServerPicksItsServiceGate(t *testing.T) {
+	t.Parallel()
+	svc, spies := openSpied(t, Durability{Fsync: FsyncGroup})
+	const client = 1
+	spy := spies[svc.Shard(client)]
+	spy.parked = make(chan struct{})
+	spy.resume = make(chan struct{})
+	c, err := Dial(startServerOn(t, svc), ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	granted := make(chan error, 1)
+	if err := c.Acquire(client, func(_ Grant, err error) { granted <- err }); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-spy.parked:
+	case err := <-granted:
+		t.Fatalf("grant delivered before any flush covered its record (err %v)", err)
+	case <-time.After(10 * time.Second):
+		t.Fatal("neither a flush nor a grant")
+	}
+	select {
+	case err := <-granted:
+		spy.resume <- struct{}{}
+		t.Fatalf("grant delivered while the flush covering it was parked (err %v)", err)
+	case <-time.After(50 * time.Millisecond):
+	}
+	spy.resume <- struct{}{}
+	select {
+	case err := <-granted:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("no grant after the flush returned")
 	}
 }

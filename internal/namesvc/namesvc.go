@@ -201,13 +201,9 @@ type Service struct {
 	shards []*shard
 
 	// Durability plumbing; zero-valued on volatile services.
-	syncStop  chan struct{}
-	syncDone  chan struct{}
 	closeOnce sync.Once
 	closeErr  error
 
-	// groupCommit is set in FsyncGroup mode: SyncGroup and SyncShard flush.
-	groupCommit bool
 	// walSync is SyncWAL's scratch: the dirty shards of the pass under way
 	// and their flush results, reused by every pass (a follower runs one per
 	// acknowledgement round).
@@ -251,6 +247,7 @@ func Open(cfg Config) (*Service, error) {
 		if err != nil {
 			return nil, err
 		}
+		cfg.Durable = dcfg // the service's own copy: NewServer reads its Fsync
 		if cfg.Journal && cfg.JournalLimit <= 0 {
 			// An unbounded in-memory journal under a durable service is pure
 			// memory growth (the WAL already holds the complete history);
@@ -276,12 +273,6 @@ func Open(cfg Config) (*Service, error) {
 			}
 		}
 	}
-	if dcfg != nil && dcfg.Fsync == FsyncInterval {
-		s.syncStop = make(chan struct{})
-		s.syncDone = make(chan struct{})
-		go s.walSyncLoop(dcfg.FsyncEvery)
-	}
-	s.groupCommit = dcfg != nil && dcfg.Fsync == FsyncGroup
 	return s, nil
 }
 

@@ -4,29 +4,39 @@ import (
 	"errors"
 	"testing"
 	"time"
+
+	"ballsintoleaves/internal/namesvc/durable"
 )
 
-// failMeta is a metaStore whose saves can be made to fail, for pinning
-// the persist-before-prune discipline.
-type failMeta struct {
+// failSink is a meta-store sink whose slot writes can be made to fail,
+// for pinning the persist-before-prune discipline.
+type failSink struct {
+	*durable.MemSink
 	fail  bool
 	saves int
-	m     meta
 }
 
-func (s *failMeta) load() (meta, error) { return s.m, nil }
-func (s *failMeta) save(m meta) error {
+func (s *failSink) Create(name string) (durable.File, error) {
 	if s.fail {
-		return errors.New("injected meta failure")
+		return nil, errors.New("injected meta failure")
 	}
 	s.saves++
-	s.m = m
-	return nil
+	return s.MemSink.Create(name)
+}
+
+// persisted is the election state a restart would load.
+func (s *failSink) persisted() meta {
+	m, _ := sinkMeta{sink: s, base: metaBase}.load()
+	return m
+}
+
+func newFailSink(fail bool) *failSink {
+	return &failSink{MemSink: durable.NewMemSink(), fail: fail}
 }
 
 // compactNode builds a minimal leader for exercising compactLocked
 // directly: deterministic state, no goroutines, no network.
-func compactNode(store metaStore, retain int) (*Node, *leaderState) {
+func compactNode(store *failSink, retain int) (*Node, *leaderState) {
 	n := &Node{
 		cfg: Config{
 			NodeID:        0,
@@ -35,7 +45,7 @@ func compactNode(store metaStore, retain int) (*Node, *leaderState) {
 			Logf:          func(string, ...any) {},
 		},
 		quorum: 2,
-		meta:   store,
+		meta:   sinkMeta{sink: store, base: metaBase},
 	}
 	l := &leaderState{
 		baseIdx: 1,
@@ -59,7 +69,7 @@ func fillQueue(l *leaderState, upto uint64) {
 // the slowest live link, while a partitioned peer (no link) does not hold
 // the floor back.
 func TestCompactLockedSoftBound(t *testing.T) {
-	store := &failMeta{}
+	store := newFailSink(false)
 	n, l := compactNode(store, 8)
 	fillQueue(l, 20)
 	l.commit = 15
@@ -74,8 +84,8 @@ func TestCompactLockedSoftBound(t *testing.T) {
 	if l.baseIdx != 13 || len(l.queue) != 8 {
 		t.Fatalf("queue = [%d, %d) len %d, want [13, 21) len 8", l.baseIdx, l.nextIdx, len(l.queue))
 	}
-	if store.m.CompactFloor != 12 {
-		t.Fatalf("persisted floor = %d, want 12 (persist before prune)", store.m.CompactFloor)
+	if store.persisted().CompactFloor != 12 {
+		t.Fatalf("persisted floor = %d, want 12 (persist before prune)", store.persisted().CompactFloor)
 	}
 	// Idempotent: nothing new to prune, nothing saved again.
 	saves := store.saves
@@ -89,7 +99,7 @@ func TestCompactLockedSoftBound(t *testing.T) {
 // retention cap prunes anyway — the queue never holds more than
 // RetainRecords, and the laggard is left to the snapshot re-attach path.
 func TestCompactLockedHardBound(t *testing.T) {
-	store := &failMeta{}
+	store := newFailSink(false)
 	n, l := compactNode(store, 8)
 	fillQueue(l, 20)
 	l.commit = 2
@@ -109,7 +119,7 @@ func TestCompactLockedHardBound(t *testing.T) {
 // not acknowledge must not prune anything — the records stay until the
 // next tick retries the persist.
 func TestCompactLockedPersistFailureSkipsPrune(t *testing.T) {
-	store := &failMeta{fail: true}
+	store := newFailSink(true)
 	n, l := compactNode(store, 8)
 	fillQueue(l, 20)
 	l.commit = 15
@@ -132,7 +142,7 @@ func TestCompactLockedPersistFailureSkipsPrune(t *testing.T) {
 // discards records before the floor records them; the next compact folds
 // the discarded prefix into the durable floor.
 func TestCompactLockedFoldsEmergencyDrops(t *testing.T) {
-	store := &failMeta{}
+	store := newFailSink(false)
 	n, l := compactNode(store, 8)
 	l.baseIdx, l.nextIdx = 10, 10 // records 1..9 were front-dropped
 	fillQueue(l, 12)

@@ -2,11 +2,7 @@ package repl
 
 import (
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io/fs"
-	"os"
-	"path/filepath"
 
 	"ballsintoleaves/internal/namesvc/durable"
 )
@@ -23,8 +19,8 @@ import (
 // CompactFloor is the highest replication-log index this node has pruned
 // while leading, persisted before the prefix is dropped so a recovered
 // node can never claim to still stream records it discarded. Seq orders
-// writes for the slotted sink store; every field is monotone across a
-// crash because a save is acknowledged only after it is durable.
+// the store's slot writes; every field is monotone across a crash because
+// a save is acknowledged only after it is durable.
 type meta struct {
 	Seq          uint64 `json:"seq"`
 	Term         uint64 `json:"term"`
@@ -33,106 +29,49 @@ type meta struct {
 	CompactFloor uint64 `json:"compact_floor"`
 }
 
-// metaStore persists election state. Two implementations share the
-// contract that a save returning nil is durable and a crash mid-save
-// recovers to either the previous state or the new one, never a torn
-// mixture: fileMeta (temp+fsync+rename on a real path) and sinkMeta
-// (alternating slots over a durable.Sink, which has no rename — used by
-// tests and the CrashBudget crash-point sweep).
-type metaStore interface {
-	load() (meta, error)
-	save(meta) error
-}
-
 func zeroMeta() meta { return meta{VotedFor: -1} }
 
-// memMeta is the memory-only store (tests without restart coverage).
-type memMeta struct{ m meta }
-
-func newMemMeta() *memMeta             { return &memMeta{m: zeroMeta()} }
-func (s *memMeta) load() (meta, error) { return s.m, nil }
-func (s *memMeta) save(m meta) error   { s.m = m; return nil }
-
-// fileMeta persists to one JSON file with the temp file, fsync, rename,
-// directory-fsync discipline — the same as the WAL's snapshot writes, so
-// a crash leaves either the old state or the new, never a torn file.
-type fileMeta struct{ path string }
-
-func (s fileMeta) load() (meta, error) {
-	m := zeroMeta()
-	data, err := os.ReadFile(s.path)
-	if errors.Is(err, fs.ErrNotExist) {
-		return m, nil
-	}
-	if err != nil {
-		return m, fmt.Errorf("repl: reading %s: %w", s.path, err)
-	}
-	if err := json.Unmarshal(data, &m); err != nil {
-		return m, fmt.Errorf("repl: parsing %s: %w", s.path, err)
-	}
-	return m, nil
+// sinkMeta persists election state over a durable.Sink, which offers no
+// rename: instead of install-by-rename it alternates between two slot
+// files, <base>.a and <base>.b, by sequence number and syncs file and
+// directory before acknowledging. A crash tears at most the slot being
+// written; the other slot still holds the previous durable state, and load
+// picks the newest slot that parses — so recovery is always old state or
+// new, never a torn mixture. A slot that exists but cannot be read fails
+// the load: guessing past it could respend a vote. load also reads <base>
+// itself, the single file older releases installed by rename: it holds
+// the same JSON with its Seq, so a node upgraded in place keeps its vote
+// until a slot supersedes it.
+type sinkMeta struct {
+	sink durable.Sink
+	base string
 }
 
-func (s fileMeta) save(m meta) error {
-	data, err := json.Marshal(m)
-	if err != nil {
-		return fmt.Errorf("repl: encoding meta: %w", err)
-	}
-	dir := filepath.Dir(s.path)
-	tmp := s.path + ".tmp"
-	f, err := os.OpenFile(tmp, os.O_WRONLY|os.O_CREATE|os.O_TRUNC, 0o644)
-	if err != nil {
-		return fmt.Errorf("repl: writing meta: %w", err)
-	}
-	if _, err := f.Write(data); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("repl: writing meta: %w", err)
-	}
-	if err := f.Sync(); err != nil {
-		f.Close()
-		os.Remove(tmp)
-		return fmt.Errorf("repl: syncing meta: %w", err)
-	}
-	if err := f.Close(); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("repl: closing meta: %w", err)
-	}
-	if err := os.Rename(tmp, s.path); err != nil {
-		os.Remove(tmp)
-		return fmt.Errorf("repl: installing meta: %w", err)
-	}
-	if d, err := os.Open(dir); err == nil {
-		d.Sync()
-		d.Close()
-	}
-	return nil
-}
-
-// Slot names for the sink-backed store.
-const (
-	metaSlotA = "repl-meta.a"
-	metaSlotB = "repl-meta.b"
-)
-
-// sinkMeta persists over a durable.Sink, which offers no rename: instead
-// of install-by-rename it alternates between two slot files by sequence
-// number and syncs before acknowledging. A crash tears at most the slot
-// being written; the other slot still holds the previous durable state,
-// and load picks the newest slot that parses — so recovery is always
-// old-state-or-new, exactly like the rename path.
-type sinkMeta struct{ sink durable.Sink }
+// metaBase is the slot base name inside a MetaSink.
+const metaBase = "repl-meta"
 
 func (s sinkMeta) load() (meta, error) {
+	names, err := s.sink.List()
+	if err != nil {
+		return meta{}, fmt.Errorf("repl: listing meta: %w", err)
+	}
 	best, found := zeroMeta(), false
-	for _, slot := range []string{metaSlotA, metaSlotB} {
-		data, err := s.sink.ReadAll(slot)
+	for _, name := range names {
+		legacy := name == s.base
+		if !legacy && name != s.base+".a" && name != s.base+".b" {
+			continue
+		}
+		data, err := s.sink.ReadAll(name)
 		if err != nil {
-			continue // missing or unreadable slot: the other one decides
+			return meta{}, fmt.Errorf("repl: reading %s: %w", name, err)
 		}
 		var m meta
-		if json.Unmarshal(data, &m) != nil {
-			continue // torn write: a strict JSON prefix never parses
+		if err := json.Unmarshal(data, &m); err != nil {
+			if legacy {
+				// Installed by rename, so never torn: this is damage.
+				return meta{}, fmt.Errorf("repl: parsing %s: %w", name, err)
+			}
+			continue // torn slot write: a strict JSON prefix never parses
 		}
 		if !found || m.Seq > best.Seq {
 			best, found = m, true
@@ -146,9 +85,9 @@ func (s sinkMeta) save(m meta) error {
 	if err != nil {
 		return fmt.Errorf("repl: encoding meta: %w", err)
 	}
-	slot := metaSlotA
+	slot := s.base + ".a"
 	if m.Seq%2 == 1 {
-		slot = metaSlotB
+		slot = s.base + ".b"
 	}
 	f, err := s.sink.Create(slot)
 	if err != nil {

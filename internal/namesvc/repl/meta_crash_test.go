@@ -46,7 +46,7 @@ func runMetaScript(store sinkMeta) (lastGood meta, inFlight meta, crashed bool) 
 func TestMetaCrashSweep(t *testing.T) {
 	// Measure the full run once; then crash at every unit 0..total.
 	probe := durable.NewCrashBudget(-1)
-	if _, _, crashed := runMetaScript(sinkMeta{sink: probe.Wrap(durable.NewMemSink())}); crashed {
+	if _, _, crashed := runMetaScript(sinkMeta{sink: probe.Wrap(durable.NewMemSink()), base: metaBase}); crashed {
 		t.Fatal("unlimited budget crashed")
 	}
 	total := probe.Units()
@@ -57,13 +57,13 @@ func TestMetaCrashSweep(t *testing.T) {
 	for k := int64(0); k <= total; k++ {
 		budget := durable.NewCrashBudget(k)
 		inner := durable.NewMemSink()
-		lastGood, inFlight, crashed := runMetaScript(sinkMeta{sink: budget.Wrap(inner)})
+		lastGood, inFlight, crashed := runMetaScript(sinkMeta{sink: budget.Wrap(inner), base: metaBase})
 		if crashed != (k < total) {
 			t.Fatalf("budget %d: crashed = %v, want %v", k, crashed, k < total)
 		}
 
 		// Recovery reads the torn disk the dead machine left behind.
-		got, err := sinkMeta{sink: inner}.load()
+		got, err := sinkMeta{sink: inner, base: metaBase}.load()
 		if err != nil {
 			t.Fatalf("budget %d: recovery load: %v", k, err)
 		}
@@ -86,13 +86,13 @@ func TestMetaCrashSweep(t *testing.T) {
 // compaction floor never fall behind what was acknowledged.
 func TestMetaCrashMonotonicity(t *testing.T) {
 	probe := durable.NewCrashBudget(-1)
-	runMetaScript(sinkMeta{sink: probe.Wrap(durable.NewMemSink())})
+	runMetaScript(sinkMeta{sink: probe.Wrap(durable.NewMemSink()), base: metaBase})
 
 	for k := int64(0); k <= probe.Units(); k++ {
 		budget := durable.NewCrashBudget(k)
 		inner := durable.NewMemSink()
-		lastGood, _, _ := runMetaScript(sinkMeta{sink: budget.Wrap(inner)})
-		got, err := sinkMeta{sink: inner}.load()
+		lastGood, _, _ := runMetaScript(sinkMeta{sink: budget.Wrap(inner), base: metaBase})
+		got, err := sinkMeta{sink: inner, base: metaBase}.load()
 		if err != nil {
 			t.Fatalf("budget %d: recovery load: %v", k, err)
 		}

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math/rand"
 	"net"
+	"path/filepath"
 	"sync"
 	"time"
 
@@ -56,12 +57,12 @@ type Config struct {
 	// (tests use port 0); nil means listen on Peers[NodeID].ReplAddr.
 	Listener net.Listener
 	// MetaPath persists term/vote/freshness/compaction state across
-	// restarts (required for crash safety); empty keeps it in memory only
-	// (tests), unless MetaSink is set.
+	// restarts (required for crash safety) in the slots MetaPath.a and
+	// MetaPath.b, reading a legacy single file at MetaPath too; empty keeps
+	// it in memory only (tests), unless MetaSink is set.
 	MetaPath string
-	// MetaSink, when non-nil, persists election state into a durable.Sink
-	// (alternating-slot writes) instead of MetaPath. Tests and crash
-	// harnesses use it; production daemons use MetaPath.
+	// MetaSink, when non-nil, holds the same slots inside a durable.Sink
+	// instead of MetaPath's directory. Tests and crash harnesses use it.
 	MetaSink durable.Sink
 	// ElectionTimeout is the follower patience before campaigning;
 	// heartbeats flow at a fifth of it. Zero means 500ms.
@@ -89,7 +90,7 @@ type Node struct {
 	ln         net.Listener
 	quorum     int
 	hbInterval time.Duration
-	meta       metaStore
+	meta       sinkMeta
 
 	mu             sync.Mutex
 	commitCond     *sync.Cond // commit advance, fencing, close
@@ -131,14 +132,18 @@ func Start(cfg Config) (*Node, error) {
 	if cfg.Logf == nil {
 		cfg.Logf = func(string, ...any) {}
 	}
-	var store metaStore
+	var store sinkMeta
 	switch {
 	case cfg.MetaSink != nil:
-		store = sinkMeta{sink: cfg.MetaSink}
+		store = sinkMeta{sink: cfg.MetaSink, base: metaBase}
 	case cfg.MetaPath != "":
-		store = fileMeta{path: cfg.MetaPath}
+		dir, err := durable.NewDirSink(filepath.Dir(cfg.MetaPath))
+		if err != nil {
+			return nil, fmt.Errorf("repl: %w", err)
+		}
+		store = sinkMeta{sink: dir, base: filepath.Base(cfg.MetaPath)}
 	default:
-		store = newMemMeta()
+		store = sinkMeta{sink: durable.NewMemSink(), base: metaBase}
 	}
 	m, err := store.load()
 	if err != nil {
@@ -314,7 +319,7 @@ func (n *Node) AdmitWrites() (bool, string) {
 // producing records while its deliverer waits here, and a wait that chased
 // the shard's *latest* index would never end under steady load. The
 // leader's own copy is made durable first (the shard's group-commit flush
-// in FsyncGroup mode; a no-op when every append already syncs), so
+// under FsyncGroup; at once when every append already syncs), so
 // "committed" always means a quorum of durable copies including this one.
 // An error means the node was deposed with the records uncommitted.
 func (n *Node) WaitCommitted(shard int) error {
@@ -681,7 +686,7 @@ func (n *Node) serveStream(p *transport.Peer, hello []byte) {
 	dirty := false // applied records not yet synced and acknowledged
 	for {
 		if dirty && !p.Pending() {
-			n.svc.SyncGroup()
+			n.svc.SyncWAL()
 			w.Reset()
 			appendAck(&w, term, ackIdx)
 			if p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout)) != nil {

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"net"
+	"os"
 	"path/filepath"
 	"reflect"
 	"sync"
@@ -689,7 +690,7 @@ func TestWireRoundTrips(t *testing.T) {
 }
 
 func TestMetaPersistence(t *testing.T) {
-	store := fileMeta{path: filepath.Join(t.TempDir(), "repl-meta")}
+	store := sinkMeta{sink: mustDirSink(t, t.TempDir()), base: metaBase}
 
 	m, err := store.load()
 	if err != nil {
@@ -711,19 +712,10 @@ func TestMetaPersistence(t *testing.T) {
 		t.Fatalf("meta round-trip: got %+v, want %+v", got, want)
 	}
 
-	// Memory-only mode round-trips in place.
-	mem := newMemMeta()
-	if err := mem.save(meta{Term: 1, VotedFor: 0}); err != nil {
-		t.Fatalf("memory-only save: %v", err)
-	}
-	if m, err := mem.load(); err != nil || m.Term != 1 || m.VotedFor != 0 {
-		t.Fatalf("memory-only load: (%+v, %v)", m, err)
-	}
-
 	// Sink-backed store: same contract over alternating slots, newest
 	// valid slot wins.
 	sink := durable.NewMemSink()
-	ss := sinkMeta{sink: sink}
+	ss := sinkMeta{sink: sink, base: metaBase}
 	if m, err := ss.load(); err != nil || m.VotedFor != -1 {
 		t.Fatalf("empty sink load: (%+v, %v)", m, err)
 	}
@@ -738,5 +730,105 @@ func TestMetaPersistence(t *testing.T) {
 	}
 	if want := (meta{Seq: 3, Term: 13, VotedFor: 1, CompactFloor: 12}); got != want {
 		t.Fatalf("sink meta round-trip: got %+v, want %+v", got, want)
+	}
+}
+
+// startMetaNode starts a node of a members-strong cluster whose election
+// state lives at dir/repl-meta, the MetaPath blnamed passes. Elections are
+// manual and no peer is ever dialled.
+func startMetaNode(t *testing.T, dir string, members int) *Node {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	peers := []PeerSpec{{ReplAddr: ln.Addr().String()}}
+	for len(peers) < members {
+		peers = append(peers, PeerSpec{ReplAddr: "unreachable"})
+	}
+	svc := openReplica(t, memSinks())
+	t.Cleanup(func() { svc.Close() })
+	n, err := Start(Config{
+		NodeID:          0,
+		Peers:           peers,
+		Service:         svc,
+		Listener:        ln,
+		MetaPath:        filepath.Join(dir, "repl-meta"),
+		ManualElections: true,
+		Logf:            testLogf(t),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { n.Close() })
+	return n
+}
+
+func termAndVote(n *Node) (uint64, int) {
+	n.mu.Lock()
+	defer n.mu.Unlock()
+	return n.term, n.votedFor
+}
+
+// legacyMeta is the single rename-installed file older releases kept at
+// MetaPath: term 7, vote spent on node 2.
+const legacyMeta = `{"seq":3,"term":7,"voted_for":2,"last_record_term":6,"compact_floor":0}`
+
+// TestMetaPathRecoversLegacyFile: a node upgraded in place over a data dir
+// holding only the legacy file keeps its term and its spent vote.
+func TestMetaPathRecoversLegacyFile(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "repl-meta"), []byte(legacyMeta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := startMetaNode(t, dir, 3)
+	if term, vote := termAndVote(n); term != 7 || vote != 2 {
+		t.Fatalf("recovered term %d, vote %d; want term 7, vote 2", term, vote)
+	}
+
+	// A rename-installed file is never torn, so one that does not parse is
+	// damage, and the node refuses to start rather than forget the vote.
+	damaged := t.TempDir()
+	if err := os.WriteFile(filepath.Join(damaged, "repl-meta"), []byte(legacyMeta[:20]), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := (sinkMeta{sink: mustDirSink(t, damaged), base: metaBase}).load(); err == nil {
+		t.Fatal("a damaged legacy file loaded")
+	}
+}
+
+func mustDirSink(t *testing.T, dir string) *durable.DirSink {
+	t.Helper()
+	sink, err := durable.NewDirSink(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return sink
+}
+
+// TestMetaPathRestartsFromSlots: what a node persists after the upgrade
+// goes to the slots, and a restart recovers it from them — the newer Seq
+// wins over the legacy file that is still on disk.
+func TestMetaPathRestartsFromSlots(t *testing.T) {
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, "repl-meta"), []byte(legacyMeta), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	n := startMetaNode(t, dir, 1)
+	if !n.Campaign() {
+		t.Fatal("a one-member cluster failed to elect itself")
+	}
+	if term, vote := termAndVote(n); term != 8 || vote != 0 {
+		t.Fatalf("after the campaign: term %d, vote %d; want term 8, vote 0", term, vote)
+	}
+	n.Close()
+	for _, slot := range []string{"repl-meta.a", "repl-meta.b"} {
+		if _, err := os.Stat(filepath.Join(dir, slot)); err != nil {
+			t.Fatalf("slot %s: %v", slot, err)
+		}
+	}
+	n = startMetaNode(t, dir, 1)
+	if term, vote := termAndVote(n); term != 8 || vote != 0 {
+		t.Fatalf("restarted with term %d, vote %d; want term 8, vote 0", term, vote)
 	}
 }

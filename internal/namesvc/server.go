@@ -61,10 +61,11 @@ type groupGate struct{ svc *Service }
 func (g groupGate) AdmitWrites() (bool, string)   { return true, "" }
 func (g groupGate) WaitCommitted(shard int) error { g.svc.SyncShard(shard); return nil }
 
-// GroupGate returns the ServerConfig.Gate for a standalone server whose
-// service uses FsyncGroup: a shard's grants are delivered only after a
-// flush covers their records, every epoch closed during one flush sharing
-// the next, and different shards' flushes overlapping.
+// GroupGate returns the commit gate a standalone server over an FsyncGroup
+// service uses (NewServer picks it when ServerConfig.Gate is nil): a
+// shard's grants are delivered only after a flush covers their records,
+// every epoch closed during one flush sharing the next, and different
+// shards' flushes overlapping. Exported for callers that decorate it.
 func GroupGate(svc *Service) CommitGate { return groupGate{svc} }
 
 // ServerConfig parameterizes a Server.
@@ -72,8 +73,8 @@ type ServerConfig struct {
 	// Service is the allocation core to serve. Required.
 	Service *Service
 	// Gate, when non-nil, is the external commit rule (see CommitGate):
-	// replication quorum or group-commit fsync. Required when the service
-	// uses FsyncGroup (use GroupGate); nil otherwise means no gating.
+	// replication quorum or group-commit fsync. Nil means the service's
+	// own: GroupGate when it uses FsyncGroup, otherwise no gating.
 	Gate CommitGate
 	// MaxOutstanding caps one connection's in-flight acquires; beyond it
 	// acquires are rejected with RejectBusy. Zero means 4096.
@@ -109,6 +110,10 @@ type ServerConfig struct {
 func (cfg *ServerConfig) normalize() error {
 	if cfg.Service == nil {
 		return fmt.Errorf("namesvc: ServerConfig.Service is required")
+	}
+	if d := cfg.Service.cfg.Durable; cfg.Gate == nil && d != nil && d.Fsync == FsyncGroup {
+		// Appends do not sync: a grant must wait for the flush covering it.
+		cfg.Gate = groupGate{cfg.Service}
 	}
 	if cfg.MaxOutstanding <= 0 {
 		cfg.MaxOutstanding = 4096
