@@ -44,7 +44,7 @@
 // serves writes. The leader streams each sealed WAL record to its
 // followers and acknowledges a grant only after a quorum holds the records
 // behind it; followers reject writes with a redirect to the leader
-// (clients using DialLeader follow it automatically). Kill the leader and
+// (a namesvc.Session follows it automatically). Kill the leader and
 // a follower takes over without losing an acknowledged grant; the cmd/
 // blcluster launcher scripts exactly that demonstration.
 package main

@@ -196,64 +196,8 @@ func (c *Client) Role() Role { return c.role }
 // its welcome — empty on a standalone server, on the leader itself, and
 // on a follower that does not currently know a leader. Writes rejected
 // after a leadership change carry the fresher hint in the RejectNotLeader
-// message (see LeaderHintFromError).
+// message. Session follows both hints across failover.
 func (c *Client) LeaderHint() string { return c.leader }
-
-// LeaderHintFromError extracts the redirect hint from a RejectNotLeader
-// error: ok reports whether err is one, and leader is the advertised
-// leader client address (possibly empty — retry the known addresses).
-func LeaderHintFromError(err error) (leader string, ok bool) {
-	var rej *RejectError
-	if errors.As(err, &rej) && rej.Code == RejectNotLeader {
-		return rej.Msg, true
-	}
-	return "", false
-}
-
-// DialLeader dials until it lands on a server that serves writes: it
-// tries the given addresses, follows each follower's leader hint, and
-// retries through elections until cfg.Timeout (as a total budget) runs
-// out. It is the client half of leader failover — blload and the cluster
-// tests reconnect through it after a kill.
-func DialLeader(addrs []string, cfg ClientConfig) (*Client, error) {
-	cfg.normalize()
-	if len(addrs) == 0 {
-		return nil, fmt.Errorf("namesvc: DialLeader needs at least one address")
-	}
-	deadline := time.Now().Add(cfg.Timeout)
-	var lastErr error
-	for attempt := 0; ; attempt++ {
-		// A fresh hint is always tried first, then the static list.
-		try := addrs
-		for _, addr := range try {
-			c, err := Dial(addr, cfg)
-			if err != nil {
-				lastErr = err
-				continue
-			}
-			if c.Role() != RoleFollower {
-				return c, nil
-			}
-			hint := c.LeaderHint()
-			c.Close()
-			if hint != "" {
-				if hc, err := Dial(hint, cfg); err == nil {
-					if hc.Role() != RoleFollower {
-						return hc, nil
-					}
-					hc.Close()
-				} else {
-					lastErr = err
-				}
-			}
-			lastErr = fmt.Errorf("namesvc: %s is a follower (leader hint %q)", addr, hint)
-		}
-		if time.Now().After(deadline) {
-			return nil, fmt.Errorf("namesvc: no leader found in %v: %w", cfg.Timeout, lastErr)
-		}
-		time.Sleep(min(50*time.Millisecond*time.Duration(attempt+1), 500*time.Millisecond))
-	}
-}
 
 // Close tears the connection down; every in-flight callback fails with a
 // wrapped ErrClientClosed.

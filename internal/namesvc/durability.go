@@ -18,7 +18,10 @@ import (
 // the ordinary ledger operations, and proves the rebuilt shard honest by
 // recomputing the rolling digest and matching it against the digest sealed
 // in every record — a replay that diverges by a single event cannot
-// produce the sealed FNV chain.
+// produce the sealed FNV chain. Each step has one copy that recovery and
+// replicas (replica.go) share: installSnapshotLocked installs a snapshot,
+// replayLocked replays and proves a record, and appendRecordLocked appends
+// a sealed record to the shard's store.
 //
 // Failure policy: the service fails OPEN. If a WAL append or checkpoint
 // errors (disk full, injected crash), the shard keeps serving from memory,
@@ -295,9 +298,9 @@ func decodeWALSnapshot(payload []byte, shardIdx int) (walSeal, []uint64, []Entry
 }
 
 // flushWALLocked drains the ledger's staged events into one WAL record
-// sealing the shard's current state, checkpointing when the snapshot
-// cadence is due; sh.mu must be held. With nothing staged (or durability
-// off, or the shard degraded) it is a no-op.
+// sealing the shard's current state (see appendRecordLocked); sh.mu must be
+// held. With nothing staged (or durability off, or the shard degraded and
+// no record hook) it is a no-op.
 func (s *Service) flushWALLocked(shardIdx int, sh *shard) {
 	d := sh.dur
 	if d == nil {
@@ -313,19 +316,28 @@ func (s *Service) flushWALLocked(shardIdx int, sh *shard) {
 	}
 	d.w.Reset()
 	appendWALRecord(&d.w, shardIdx, sh.sealLocked(), entries)
+	s.appendRecordLocked(shardIdx, sh, d.w.Bytes(), hook)
+}
+
+// appendRecordLocked is the one append step for a sealed record payload,
+// produced here or replicated: it appends the payload to the shard's store
+// and counts it, hands it to hook (when non-nil), and checkpoints when the
+// snapshot cadence is due; sh.mu must be held and sh.dur set. The hook
+// (replication) observes every record, even when the local store has
+// degraded — the cluster is the durability then — and sees it before a
+// checkpoint reuses the encode scratch the payload may alias; it must copy.
+func (s *Service) appendRecordLocked(shardIdx int, sh *shard, payload []byte, hook func(int, []byte)) {
+	d := sh.dur
 	if d.err == nil {
-		if _, err := d.store.Append(d.w.Bytes()); err != nil {
+		if _, err := d.store.Append(payload); err != nil {
 			d.fail(shardIdx, err)
 		} else {
 			d.records++
 			d.sinceSnap++
 		}
 	}
-	// The record hook (replication) observes every sealed record, even
-	// when the local store has degraded — the cluster is the durability
-	// then. The payload aliases encode scratch; the hook must copy.
 	if hook != nil {
-		hook(shardIdx, d.w.Bytes())
+		hook(shardIdx, payload)
 	}
 	if d.err == nil && d.sinceSnap >= d.snapEvery {
 		s.checkpointLocked(shardIdx, sh)
@@ -350,10 +362,10 @@ func (s *Service) checkpointLocked(shardIdx int, sh *shard) {
 }
 
 // recoverShard rebuilds one shard from its sink: newest valid snapshot,
-// then the WAL tail replayed through the ordinary ledger operations, with
-// the rolling digest recomputed and checked against the digest sealed in
-// every record. On success the shard's store is open for appends and a
-// fresh boot checkpoint has physically truncated any torn tail.
+// then the WAL tail replayed and proven record by record (replayLocked).
+// On success the shard's store is open for appends and a fresh boot
+// checkpoint has physically truncated any torn tail. It runs inside Open,
+// before the shard is shared, so it takes no lock.
 func (s *Service) recoverShard(shardIdx int, sh *shard, dcfg *Durability) error {
 	store, rec, err := durable.Open(dcfg.Sinks[shardIdx], durable.Options{
 		SyncEachAppend: dcfg.Fsync == FsyncPerEpoch,
@@ -362,52 +374,17 @@ func (s *Service) recoverShard(shardIdx int, sh *shard, dcfg *Durability) error 
 		return fmt.Errorf("namesvc: shard %d: %w", shardIdx, err)
 	}
 	if rec.Snapshot != nil {
-		seal, holder, win, err := decodeWALSnapshot(rec.Snapshot, shardIdx)
-		if err != nil {
+		if err := s.installSnapshotLocked(shardIdx, sh, rec.Snapshot); err != nil {
 			return fmt.Errorf("namesvc: shard %d: snapshot %d: %w", shardIdx, rec.SnapSeq, err)
 		}
-		if err := sh.led.restore(seal.epoch, holder, seal.digest, seal.assigns, seal.releases, win); err != nil {
-			return fmt.Errorf("namesvc: shard %d: snapshot %d: %w", shardIdx, rec.SnapSeq, err)
-		}
-		sh.nextID = seal.nextID
-		sh.acquires = seal.acquires
-		sh.absorbed = seal.absorbed
 	}
 	for _, r := range rec.Records {
 		seal, entries, err := decodeWALRecord(r.Payload, shardIdx)
+		if err == nil {
+			err = sh.replayLocked(seal, entries)
+		}
 		if err != nil {
 			return fmt.Errorf("namesvc: shard %d: record %d: %w", shardIdx, r.Seq, err)
-		}
-		for _, e := range entries {
-			switch e.Op {
-			case OpAssign:
-				if e.Name < 1 || e.Name > sh.led.cap || sh.led.holderOf(e.Name) != 0 {
-					return fmt.Errorf("namesvc: shard %d: record %d assigns unassignable name %d",
-						shardIdx, r.Seq, e.Name)
-				}
-				sh.led.assign(e.Epoch, e.ReqID, e.Client, e.Name)
-			case OpRelease:
-				if err := sh.led.release(e.Epoch, e.Client, e.Name); err != nil {
-					return fmt.Errorf("namesvc: shard %d: record %d: %w", shardIdx, r.Seq, err)
-				}
-			default:
-				return fmt.Errorf("namesvc: shard %d: record %d: unknown op %d", shardIdx, r.Seq, e.Op)
-			}
-		}
-		// The seal is the proof obligation: the replayed ledger must have
-		// arrived at exactly the digest and counters the live shard sealed
-		// when it wrote this record.
-		sh.led.epoch = seal.epoch
-		sh.nextID = seal.nextID
-		sh.acquires = seal.acquires
-		sh.absorbed = seal.absorbed
-		if sh.led.digest != seal.digest {
-			return fmt.Errorf("namesvc: shard %d: record %d: replayed digest %016x != sealed %016x",
-				shardIdx, r.Seq, sh.led.digest, seal.digest)
-		}
-		if sh.led.assigns != seal.assigns || sh.led.releases != seal.releases {
-			return fmt.Errorf("namesvc: shard %d: record %d: replayed counters (%d assigns, %d releases) != sealed (%d, %d)",
-				shardIdx, r.Seq, sh.led.assigns, sh.led.releases, seal.assigns, seal.releases)
 		}
 	}
 	sh.dur = &shardWAL{
@@ -426,6 +403,65 @@ func (s *Service) recoverShard(shardIdx int, sh *shard, dcfg *Durability) error 
 		if sh.dur.err != nil {
 			return fmt.Errorf("namesvc: shard %d: boot checkpoint: %w", shardIdx, sh.dur.err)
 		}
+	}
+	return nil
+}
+
+// installSnapshotLocked replaces the shard's ledger and counters with the
+// state a snapshot payload seals: a fresh ledger restored from its holders,
+// digest, event counters and journal window, keeping the shard's staging
+// mode. Recovery and replica catch-up both install snapshots through it;
+// sh.mu must be held.
+func (s *Service) installSnapshotLocked(shardIdx int, sh *shard, payload []byte) error {
+	seal, holder, win, err := decodeWALSnapshot(payload, shardIdx)
+	if err != nil {
+		return err
+	}
+	led := newLedger(s.cfg.ShardCap, s.cfg.Journal, s.cfg.JournalLimit)
+	if err := led.restore(seal.epoch, holder, seal.digest, seal.assigns, seal.releases, win); err != nil {
+		return err
+	}
+	led.staging = sh.led.staging
+	sh.led = led
+	sh.nextID = seal.nextID
+	sh.acquires = seal.acquires
+	sh.absorbed = seal.absorbed
+	return nil
+}
+
+// replayLocked is the one replay-and-prove step, shared by recovery and
+// follower apply: it applies a sealed record's events through the ordinary
+// ledger operations, adopts the counters the seal carries, and proves the
+// rebuilt ledger arrived at exactly the digest and event counters the live
+// shard sealed when it wrote the record — a replay that diverges by a
+// single event cannot produce the sealed FNV chain. sh.mu must be held and
+// staging off, so the replayed events are not logged a second time.
+func (sh *shard) replayLocked(seal walSeal, entries []Entry) error {
+	for _, e := range entries {
+		switch e.Op {
+		case OpAssign:
+			if e.Name < 1 || e.Name > sh.led.cap || sh.led.holderOf(e.Name) != 0 {
+				return fmt.Errorf("assigns unassignable name %d", e.Name)
+			}
+			sh.led.assign(e.Epoch, e.ReqID, e.Client, e.Name)
+		case OpRelease:
+			if err := sh.led.release(e.Epoch, e.Client, e.Name); err != nil {
+				return err
+			}
+		default:
+			return fmt.Errorf("unknown op %d", e.Op)
+		}
+	}
+	sh.led.epoch = seal.epoch
+	sh.nextID = seal.nextID
+	sh.acquires = seal.acquires
+	sh.absorbed = seal.absorbed
+	if sh.led.digest != seal.digest {
+		return fmt.Errorf("replayed digest %016x != sealed %016x", sh.led.digest, seal.digest)
+	}
+	if sh.led.assigns != seal.assigns || sh.led.releases != seal.releases {
+		return fmt.Errorf("replayed counters (%d assigns, %d releases) != sealed (%d, %d)",
+			sh.led.assigns, sh.led.releases, seal.assigns, seal.releases)
 	}
 	return nil
 }

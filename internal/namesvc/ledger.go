@@ -253,7 +253,8 @@ func (l *ledger) holderOf(name int) uint64 {
 // holder array (0 = free), the full-history digest, the event counters,
 // and the completed-epoch count. The free-pool bitmap is rebuilt from the
 // holders. The journal window, when the ledger journals, is replaced by
-// win. Recovery-only; the ledger must be freshly built and not staging.
+// win. Only snapshot install (installSnapshotLocked) calls it, on a freshly
+// built ledger that is not staging.
 func (l *ledger) restore(epoch uint64, holder []uint64, digest, assigns, releases uint64, win []Entry) error {
 	if len(holder) != l.cap {
 		return fmt.Errorf("namesvc: snapshot holds %d names, ledger capacity %d", len(holder), l.cap)

@@ -2,6 +2,7 @@ package repl
 
 import (
 	"fmt"
+	"slices"
 	"time"
 
 	"ballsintoleaves/internal/transport"
@@ -202,7 +203,7 @@ func (n *Node) attachFollower(l *leaderState, peerID int) error {
 	}()
 
 	myPos := n.svc.Positions(nil)
-	if !positionsEqual(theirPos, myPos) {
+	if !slices.Equal(theirPos, myPos) {
 		for shard := range myPos {
 			payload := n.svc.ShardSnapshotPayload(shard)
 			w.Reset()
@@ -227,18 +228,6 @@ func (n *Node) attachFollower(l *leaderState, peerID int) error {
 		return sendErr
 	}
 	return recvErr
-}
-
-func positionsEqual(a, b []uint64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 // streamRecords is the sender half of one stream session: drain the

@@ -399,8 +399,8 @@ func (n *Node) electionLoop() {
 }
 
 // Campaign runs one election round synchronously: a non-term-bumping
-// pre-vote poll first, then term+1, vote for self, request votes from
-// every peer, and take leadership on a quorum.
+// pre-vote poll first, then term+1, vote for self, poll every peer for its
+// vote, and take leadership on a quorum.
 // It reports whether this node leads the new term. Safe to call at any
 // time; the election timer calls it automatically unless disabled.
 func (n *Node) Campaign() bool {
@@ -413,7 +413,7 @@ func (n *Node) Campaign() bool {
 	nextTerm := n.term + 1
 	recTerm := n.lastRecTerm
 	n.mu.Unlock()
-	if !n.preVote(nextTerm, recTerm, n.svc.Position()) {
+	if !n.poll(kPreVoteReq, nextTerm, recTerm, n.svc.Position()) {
 		return false
 	}
 	n.mu.Lock()
@@ -431,8 +431,23 @@ func (n *Node) Campaign() bool {
 	term := n.term
 	lastRecTerm := n.lastRecTerm
 	n.mu.Unlock()
-	position := n.svc.Position()
+	if !n.poll(kVoteReq, term, lastRecTerm, n.svc.Position()) {
+		return false
+	}
+	return n.becomeLeader(term)
+}
 
+// poll runs one election round at term — a pre-vote (kind kPreVoteReq) or
+// a vote (kVoteReq) — asking every peer at once, and reports whether a
+// quorum, this node included, granted within the election timeout. A
+// response from a later term is adopted and fails the round; for a
+// pre-vote that includes a responder already at the polled term, which
+// the candidate has not reached yet.
+func (n *Node) poll(kind byte, term, lastRecTerm, position uint64) bool {
+	ahead := term + 1 // the lowest responder term that fails the round
+	if kind == kPreVoteReq {
+		ahead = term
+	}
 	type result struct {
 		term    uint64
 		granted bool
@@ -445,21 +460,23 @@ func (n *Node) Campaign() bool {
 		}
 		voters++
 		go func(addr string) {
-			t, granted := n.requestVote(addr, term, lastRecTerm, position)
+			t, granted := n.requestPoll(kind, addr, term, lastRecTerm, position)
 			results <- result{t, granted}
 		}(peer.ReplAddr)
 	}
-	votes := 1 // self
+	// Self: its own vote, or — for a pre-vote — its own timer's (or the
+	// operator's) judgement that the leader is stale.
+	grants := 1
 	deadline := time.After(n.cfg.ElectionTimeout)
-	for i := 0; i < voters && votes < n.quorum; i++ {
+	for i := 0; i < voters && grants < n.quorum; i++ {
 		select {
 		case r := <-results:
-			if r.term > term {
+			if r.term >= ahead {
 				n.observeTerm(r.term)
 				return false
 			}
 			if r.granted {
-				votes++
+				grants++
 			}
 		case <-deadline:
 			return false
@@ -467,33 +484,32 @@ func (n *Node) Campaign() bool {
 			return false
 		}
 	}
-	if votes < n.quorum {
-		return false
-	}
-	return n.becomeLeader(term)
+	return grants >= n.quorum
 }
 
-// requestVote asks one peer for its vote in term.
-func (n *Node) requestVote(addr string, term, lastRecTerm, position uint64) (uint64, bool) {
+// requestPoll sends one poll of kind to one peer and returns the
+// responder's current term and its grant; a vote counts only when it is
+// for the polled term. A pre-vote responder never adopts the term.
+func (n *Node) requestPoll(kind byte, addr string, term, lastRecTerm, position uint64) (uint64, bool) {
 	p, err := transport.DialPeer(addr, n.cfg.ElectionTimeout)
 	if err != nil {
 		return 0, false
 	}
 	defer p.Close()
 	var w wire.Writer
-	appendVoteReq(&w, term, n.cfg.NodeID, lastRecTerm, position)
+	appendPollReq(&w, kind, term, n.cfg.NodeID, lastRecTerm, position)
 	if err := p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout)); err != nil {
 		return 0, false
 	}
 	body, err := p.Recv(time.Now().Add(n.cfg.ElectionTimeout))
-	if err != nil || len(body) == 0 || body[0] != kVoteResp {
+	if err != nil || len(body) == 0 || body[0] != kind+1 {
 		return 0, false
 	}
-	respTerm, granted, err := decodeVoteResp(body)
+	respTerm, granted, err := decodePollResp(body)
 	if err != nil {
 		return 0, false
 	}
-	return respTerm, granted && respTerm == term
+	return respTerm, granted && (kind == kPreVoteReq || respTerm == term)
 }
 
 // becomeLeader installs leader state for term and starts one stream
@@ -545,8 +561,8 @@ func (n *Node) becomeLeader(term uint64) bool {
 	return true
 }
 
-// acceptLoop serves the replication listener: each accepted link is a
-// vote request or an inbound leader stream.
+// acceptLoop serves the replication listener: each accepted link is an
+// election poll or an inbound leader stream.
 func (n *Node) acceptLoop() {
 	defer n.wg.Done()
 	for {
@@ -604,15 +620,14 @@ func (n *Node) serveLink(p *transport.Peer) {
 }
 
 // serveVote answers one vote request: grant if the term is current, the
-// vote is unspent, and the candidate is at least as fresh — by (last
-// record term, total position), so a candidate missing quorum-committed
-// records can never collect a quorum of grants. Leader stickiness: while
-// this node hears a live leader within the election timeout, a
-// higher-term request is refused *without adopting its term*, so a
-// returning partitioned node's inflated term cannot depose a healthy
-// leader.
+// vote is unspent, and the candidate is at least as fresh (freshLocked),
+// so a candidate missing quorum-committed records can never collect a
+// quorum of grants. Leader stickiness: while this node hears a live leader
+// within the election timeout, a higher-term request is refused *without
+// adopting its term*, so a returning partitioned node's inflated term
+// cannot depose a healthy leader.
 func (n *Node) serveVote(p *transport.Peer, body []byte) {
-	reqTerm, candidate, candRecTerm, candPos, err := decodeVoteReq(body)
+	reqTerm, candidate, candRecTerm, candPos, err := decodePollReq(body)
 	if err != nil {
 		return
 	}
@@ -621,29 +636,23 @@ func (n *Node) serveVote(p *transport.Peer, body []byte) {
 	// record this node has ever acknowledged.
 	pos := n.svc.Position()
 	n.mu.Lock()
-	if reqTerm > n.term && n.hearingLeaderLocked() {
-		cur := n.term
-		n.mu.Unlock()
-		var w wire.Writer
-		appendVoteResp(&w, cur, false)
-		p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout))
-		return
-	}
-	n.stepToTermLocked(reqTerm)
 	granted := false
-	if reqTerm == n.term && (n.votedFor == -1 || n.votedFor == candidate) &&
-		(candRecTerm > n.lastRecTerm || (candRecTerm == n.lastRecTerm && candPos >= pos)) {
-		prev := n.votedFor
-		n.votedFor = candidate
-		if prev == candidate || n.persistMetaLocked() == nil {
-			granted = true
-			n.lastContact = time.Now()
+	if reqTerm <= n.term || !n.hearingLeaderLocked() {
+		n.stepToTermLocked(reqTerm)
+		if reqTerm == n.term && (n.votedFor == -1 || n.votedFor == candidate) &&
+			n.freshLocked(candRecTerm, candPos, pos) {
+			prev := n.votedFor
+			n.votedFor = candidate
+			if prev == candidate || n.persistMetaLocked() == nil {
+				granted = true
+				n.lastContact = time.Now()
+			}
 		}
 	}
 	term := n.term
 	n.mu.Unlock()
 	var w wire.Writer
-	appendVoteResp(&w, term, granted)
+	appendPollResp(&w, kVoteResp, term, granted)
 	p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout))
 }
 

@@ -77,20 +77,35 @@ func TestStickinessRefusesVoteWithoutAdoptingTerm(t *testing.T) {
 
 	// Freshness is maximal (record term 99 beats anything real), so a
 	// rejection can only be stickiness.
-	if _, granted := c.nodes[1].requestVote(c.peers[2].ReplAddr, 99, 99, 1<<30); granted {
-		t.Fatal("follower hearing a live leader granted a higher-term vote")
-	}
-	if _, term, _ := c.nodes[2].Status(); term != 1 {
-		t.Fatalf("follower adopted term %d from a refused vote request, want 1", term)
-	}
-	if _, granted := c.nodes[1].requestPreVote(c.peers[2].ReplAddr, 99, 99, 1<<30); granted {
-		t.Fatal("follower hearing a live leader granted a pre-vote")
-	}
-	if _, term, _ := c.nodes[2].Status(); term != 1 {
-		t.Fatalf("follower adopted term %d from a pre-vote poll, want 1", term)
+	for _, kind := range []byte{kVoteReq, kPreVoteReq} {
+		if _, granted := c.nodes[1].requestPoll(kind, c.peers[2].ReplAddr, 99, 99, 1<<30); granted {
+			t.Fatalf("follower hearing a live leader granted a higher-term poll of kind %#x", kind)
+		}
+		if _, term, _ := c.nodes[2].Status(); term != 1 {
+			t.Fatalf("follower adopted term %d from a refused poll of kind %#x, want 1", term, kind)
+		}
 	}
 	if !c.nodes[0].IsLeader() {
 		t.Fatal("leader deposed by refused vote traffic")
+	}
+}
+
+// TestPreVoteYieldsToResponderAtPolledTerm: a pre-vote polls at the term
+// the candidate would campaign at, so a responder already at that term is
+// ahead of it. The round fails and the candidate adopts the term; its next
+// campaign, polling above every peer, wins.
+func TestPreVoteYieldsToResponderAtPolledTerm(t *testing.T) {
+	c := startCluster(t, 3)
+	c.nodes[1].observeTerm(1)
+	c.nodes[2].observeTerm(1)
+	if c.nodes[0].Campaign() {
+		t.Fatal("node 0 won an election whose pre-vote every peer refused")
+	}
+	if _, term, _ := c.nodes[0].Status(); term != 1 {
+		t.Fatalf("candidate at term %d after pre-vote responders at its polled term 1, want 1", term)
+	}
+	if !c.nodes[0].Campaign() {
+		t.Fatal("node 0 lost the campaign after catching up to the cluster term")
 	}
 }
 

@@ -1,10 +1,12 @@
 package repl
 
 import (
+	"encoding/hex"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -163,12 +165,12 @@ func (c *cluster) waitConverged(leader int) {
 			if i == leader || svc == nil {
 				continue
 			}
-			if !positionsEqual(svc.Positions(nil), want) {
+			if !slices.Equal(svc.Positions(nil), want) {
 				ok = false
 				break
 			}
 		}
-		if ok && positionsEqual(c.svcs[leader].Positions(nil), want) {
+		if ok && slices.Equal(c.svcs[leader].Positions(nil), want) {
 			return
 		}
 		if time.Now().After(deadline) {
@@ -609,7 +611,7 @@ func TestWireRoundTrips(t *testing.T) {
 	w.Reset()
 	appendHelloAck(&w, 7, 3, []uint64{10, 0, 42})
 	term, rec, pos, err := decodeHelloAck(w.Bytes())
-	if err != nil || term != 7 || rec != 3 || !positionsEqual(pos, []uint64{10, 0, 42}) {
+	if err != nil || term != 7 || rec != 3 || !slices.Equal(pos, []uint64{10, 0, 42}) {
 		t.Fatalf("hello-ack round-trip: (%d, %d, %v, %v)", term, rec, pos, err)
 	}
 
@@ -624,17 +626,18 @@ func TestWireRoundTrips(t *testing.T) {
 		t.Fatal("oversized hello-ack position count accepted")
 	}
 
-	w.Reset()
-	appendVoteReq(&w, 9, 1, 4, 1234)
-	if term, id, rec, p, err := decodeVoteReq(w.Bytes()); err != nil || term != 9 || id != 1 || rec != 4 || p != 1234 {
-		t.Fatalf("vote-req round-trip: (%d, %d, %d, %d, %v)", term, id, rec, p, err)
-	}
-
-	for _, granted := range []bool{true, false} {
+	for _, kind := range []byte{kVoteReq, kPreVoteReq} {
 		w.Reset()
-		appendVoteResp(&w, 9, granted)
-		if term, g, err := decodeVoteResp(w.Bytes()); err != nil || term != 9 || g != granted {
-			t.Fatalf("vote-resp round-trip: (%d, %v, %v)", term, g, err)
+		appendPollReq(&w, kind, 9, 1, 4, 1234)
+		if term, id, rec, p, err := decodePollReq(w.Bytes()); err != nil || term != 9 || id != 1 || rec != 4 || p != 1234 {
+			t.Fatalf("poll-req %#x round-trip: (%d, %d, %d, %d, %v)", kind, term, id, rec, p, err)
+		}
+		for _, granted := range []bool{true, false} {
+			w.Reset()
+			appendPollResp(&w, kind+1, 9, granted)
+			if term, g, err := decodePollResp(w.Bytes()); err != nil || term != 9 || g != granted {
+				t.Fatalf("poll-resp %#x round-trip: (%d, %v, %v)", kind+1, term, g, err)
+			}
 		}
 	}
 
@@ -673,18 +676,27 @@ func TestWireRoundTrips(t *testing.T) {
 	if term, err := decodeNack(w.Bytes()); err != nil || term != 6 {
 		t.Fatalf("nack round-trip: (%d, %v)", term, err)
 	}
+}
 
-	w.Reset()
-	appendPreVoteReq(&w, 10, 2, 4, 999)
-	if term, id, rec, p, err := decodePreVoteReq(w.Bytes()); err != nil || term != 10 || id != 2 || rec != 4 || p != 999 {
-		t.Fatalf("pre-vote-req round-trip: (%d, %d, %d, %d, %v)", term, id, rec, p, err)
-	}
-
-	for _, granted := range []bool{true, false} {
+// TestElectionFramesGolden pins the exact bytes of the four election
+// frames, so nodes of two builds still elect a leader mid rolling upgrade.
+func TestElectionFramesGolden(t *testing.T) {
+	var w wire.Writer
+	frame := func(encode func()) string {
 		w.Reset()
-		appendPreVoteResp(&w, 9, granted)
-		if term, g, err := decodePreVoteResp(w.Bytes()); err != nil || term != 9 || g != granted {
-			t.Fatalf("pre-vote-resp round-trip: (%d, %v, %v)", term, g, err)
+		encode()
+		return hex.EncodeToString(w.Bytes())
+	}
+	for _, c := range []struct {
+		name, got, want string
+	}{
+		{"vote-req", frame(func() { appendPollReq(&w, kVoteReq, 300, 2, 7, 70000) }), "63ac020207f0a204"},
+		{"vote-resp", frame(func() { appendPollResp(&w, kVoteResp, 300, true) }), "64ac0201"},
+		{"pre-vote-req", frame(func() { appendPollReq(&w, kPreVoteReq, 301, 2, 7, 70000) }), "6bad020207f0a204"},
+		{"pre-vote-resp", frame(func() { appendPollResp(&w, kPreVoteResp, 300, false) }), "6cac0200"},
+	} {
+		if c.got != c.want {
+			t.Errorf("%s frame %s, want %s", c.name, c.got, c.want)
 		}
 	}
 }

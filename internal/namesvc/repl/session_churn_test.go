@@ -2,6 +2,7 @@ package repl
 
 import (
 	"net"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -273,7 +274,7 @@ func TestSessionExactlyOnceAcrossFailovers(t *testing.T) {
 		// leader's snapshot overwrites them they make it look *fresher*
 		// than the survivors: killing the leader first can elect it, and
 		// its never-replicated releases then cost the holder its names.
-		for deadline := time.Now().Add(10 * time.Second); !positionsEqual(
+		for deadline := time.Now().Add(10 * time.Second); !slices.Equal(
 			svcs[dead].Positions(nil), svcs[leader].Positions(nil)); {
 			if time.Now().After(deadline) {
 				t.Fatalf("round %d: restarted node %d was never resynced by leader %d", round, dead, leader)

@@ -24,7 +24,7 @@
 // re-granting the same names is safe), disconnects its clients, and
 // rejoins as a follower, its divergent tail overwritten by the new
 // leader's catch-up snapshot. Clients follow RejectNotLeader hints
-// (namesvc.DialLeader) to wherever writes are currently served.
+// (namesvc.Session) to wherever writes are currently served.
 //
 // Three hardening layers sit on top of the base protocol. Pre-vote: a
 // candidate first runs a non-term-bumping poll and starts a real
@@ -51,7 +51,9 @@ import (
 	"ballsintoleaves/internal/wire"
 )
 
-// Replication message kinds, first byte of every peer frame.
+// Replication message kinds, first byte of every peer frame. A vote and a
+// pre-vote are one poll on the wire, told apart only by kind, and each
+// answer's kind is its request's plus one.
 const (
 	// kHello opens a leader→follower stream: {term, leaderID}.
 	kHello byte = 0x61
@@ -127,15 +129,17 @@ func decodeHelloAck(body []byte) (term, lastRecTerm uint64, positions []uint64, 
 	return term, lastRecTerm, positions, r.Close()
 }
 
-func appendVoteReq(w *wire.Writer, term uint64, candidateID int, lastRecTerm, position uint64) {
-	w.Byte(kVoteReq)
+// appendPollReq encodes an election poll, a vote or a pre-vote request
+// (kind kVoteReq or kPreVoteReq): {term, candidateID, lastRecTerm, position}.
+func appendPollReq(w *wire.Writer, kind byte, term uint64, candidateID int, lastRecTerm, position uint64) {
+	w.Byte(kind)
 	w.Uvarint(term)
 	w.Uvarint(uint64(candidateID))
 	w.Uvarint(lastRecTerm)
 	w.Uvarint(position)
 }
 
-func decodeVoteReq(body []byte) (term uint64, candidateID int, lastRecTerm, position uint64, err error) {
+func decodePollReq(body []byte) (term uint64, candidateID int, lastRecTerm, position uint64, err error) {
 	r := wire.NewReader(body)
 	r.Byte()
 	term = r.Uvarint()
@@ -145,8 +149,10 @@ func decodeVoteReq(body []byte) (term uint64, candidateID int, lastRecTerm, posi
 	return term, candidateID, lastRecTerm, position, r.Close()
 }
 
-func appendVoteResp(w *wire.Writer, term uint64, granted bool) {
-	w.Byte(kVoteResp)
+// appendPollResp encodes the answer to a poll (kind kVoteResp or
+// kPreVoteResp): {term, granted}.
+func appendPollResp(w *wire.Writer, kind byte, term uint64, granted bool) {
+	w.Byte(kind)
 	w.Uvarint(term)
 	g := uint64(0)
 	if granted {
@@ -155,43 +161,7 @@ func appendVoteResp(w *wire.Writer, term uint64, granted bool) {
 	w.Uvarint(g)
 }
 
-func decodeVoteResp(body []byte) (term uint64, granted bool, err error) {
-	r := wire.NewReader(body)
-	r.Byte()
-	term = r.Uvarint()
-	granted = r.Uvarint() == 1
-	return term, granted, r.Close()
-}
-
-func appendPreVoteReq(w *wire.Writer, term uint64, candidateID int, lastRecTerm, position uint64) {
-	w.Byte(kPreVoteReq)
-	w.Uvarint(term)
-	w.Uvarint(uint64(candidateID))
-	w.Uvarint(lastRecTerm)
-	w.Uvarint(position)
-}
-
-func decodePreVoteReq(body []byte) (term uint64, candidateID int, lastRecTerm, position uint64, err error) {
-	r := wire.NewReader(body)
-	r.Byte()
-	term = r.Uvarint()
-	candidateID = int(r.Uvarint())
-	lastRecTerm = r.Uvarint()
-	position = r.Uvarint()
-	return term, candidateID, lastRecTerm, position, r.Close()
-}
-
-func appendPreVoteResp(w *wire.Writer, term uint64, granted bool) {
-	w.Byte(kPreVoteResp)
-	w.Uvarint(term)
-	g := uint64(0)
-	if granted {
-		g = 1
-	}
-	w.Uvarint(g)
-}
-
-func decodePreVoteResp(body []byte) (term uint64, granted bool, err error) {
+func decodePollResp(body []byte) (term uint64, granted bool, err error) {
 	r := wire.NewReader(body)
 	r.Byte()
 	term = r.Uvarint()

@@ -9,8 +9,10 @@ import (
 // Replica surface: the hooks internal/namesvc/repl uses to keep follower
 // Services byte-identical to a leader's. The unit of replication is the
 // sealed WAL record (durability.go) — the leader taps them at the source
-// via SetRecordHook, and followers apply them here through the same
-// replay-and-prove path recovery uses, so a replica's ledger, digest,
+// via SetRecordHook, and followers apply them here through replayLocked,
+// the replay-and-prove step recovery runs, then log them through the same
+// append step the leader's own records take. Snapshot catch-up installs
+// through recovery's installSnapshotLocked. So a replica's ledger, digest,
 // and journal are the leader's or the apply fails loudly.
 //
 // Positions order the stream without any extra metadata: every record
@@ -95,55 +97,22 @@ func (s *Service) ApplyReplicated(shardIdx int, payload []byte) (bool, error) {
 		return false, fmt.Errorf("namesvc: shard %d: record spans positions %d..%d, replica at %d",
 			shardIdx, pos-uint64(len(entries)), pos, cur)
 	}
-	// Replay through the ordinary ledger operations with staging off (the
-	// record is already sealed; re-staging it would log it twice), exactly
-	// like recovery replay.
+	// Replay with staging off: the record is already sealed, and re-staging
+	// it would log it twice.
 	staged := sh.led.staging
 	sh.led.staging = false
-	defer func() { sh.led.staging = staged }()
-	for _, e := range entries {
-		switch e.Op {
-		case OpAssign:
-			if e.Name < 1 || e.Name > sh.led.cap || sh.led.holderOf(e.Name) != 0 {
-				return false, fmt.Errorf("namesvc: shard %d: replicated record assigns unassignable name %d",
-					shardIdx, e.Name)
-			}
-			sh.led.assign(e.Epoch, e.ReqID, e.Client, e.Name)
-		case OpRelease:
-			if err := sh.led.release(e.Epoch, e.Client, e.Name); err != nil {
-				return false, fmt.Errorf("namesvc: shard %d: replicated record: %w", shardIdx, err)
-			}
-		default:
-			return false, fmt.Errorf("namesvc: shard %d: replicated record: unknown op %d", shardIdx, e.Op)
-		}
+	err = sh.replayLocked(seal, entries)
+	sh.led.staging = staged
+	if err != nil {
+		return false, fmt.Errorf("namesvc: shard %d: replicated record: %w", shardIdx, err)
 	}
-	sh.led.epoch = seal.epoch
-	sh.nextID = seal.nextID
-	sh.acquires = seal.acquires
-	sh.absorbed = seal.absorbed
 	if sh.queued == 0 {
 		// A deposed leader's cancelled husks may carry IDs above the sealed
 		// counter; drop them so the queue stays in ascending ID order.
 		sh.recycleHusksLocked()
 	}
-	if sh.led.digest != seal.digest {
-		return false, fmt.Errorf("namesvc: shard %d: replicated digest %016x != sealed %016x",
-			shardIdx, sh.led.digest, seal.digest)
-	}
-	if sh.led.assigns != seal.assigns || sh.led.releases != seal.releases {
-		return false, fmt.Errorf("namesvc: shard %d: replicated counters (%d assigns, %d releases) != sealed (%d, %d)",
-			shardIdx, sh.led.assigns, sh.led.releases, seal.assigns, seal.releases)
-	}
-	if d := sh.dur; d != nil && d.err == nil {
-		if _, err := d.store.Append(payload); err != nil {
-			d.fail(shardIdx, err)
-		} else {
-			d.records++
-			d.sinceSnap++
-			if d.sinceSnap >= d.snapEvery {
-				s.checkpointLocked(shardIdx, sh)
-			}
-		}
+	if sh.dur != nil {
+		s.appendRecordLocked(shardIdx, sh, payload, nil)
 	}
 	return true, nil
 }
@@ -169,25 +138,15 @@ func (s *Service) RestoreReplicaShard(shardIdx int, payload []byte) error {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		return fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)
 	}
-	seal, holder, win, err := decodeWALSnapshot(payload, shardIdx)
-	if err != nil {
-		return err
-	}
 	sh := s.shards[shardIdx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	if sh.queued > 0 {
 		return fmt.Errorf("namesvc: shard %d: %d requests queued during replica restore", shardIdx, sh.queued)
 	}
-	led := newLedger(s.cfg.ShardCap, s.cfg.Journal, s.cfg.JournalLimit)
-	if err := led.restore(seal.epoch, holder, seal.digest, seal.assigns, seal.releases, win); err != nil {
+	if err := s.installSnapshotLocked(shardIdx, sh, payload); err != nil {
 		return fmt.Errorf("namesvc: shard %d: replica restore: %w", shardIdx, err)
 	}
-	led.staging = sh.led.staging || sh.dur != nil
-	sh.led = led
-	sh.nextID = seal.nextID
-	sh.acquires = seal.acquires
-	sh.absorbed = seal.absorbed
 	sh.recycleHusksLocked()
 	if d := sh.dur; d != nil && d.err == nil {
 		if err := d.store.Checkpoint(payload); err != nil {

@@ -63,7 +63,8 @@ const (
 	RejectUnsupported RejectCode = 4
 	// RejectNotLeader: this replica does not serve writes; the message is
 	// the current leader's client address (empty if no leader is known).
-	// Clients redirect there and retry (Client.LeaderHint, DialLeader).
+	// Clients redirect there and retry (Client.LeaderHint; Session does
+	// it across failover).
 	RejectNotLeader RejectCode = 5
 )
 
