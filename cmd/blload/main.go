@@ -36,12 +36,13 @@
 //	blload -session -connect 127.0.0.1:4750,127.0.0.1:4751,127.0.0.1:4752 \
 //	    -op-timeout 2s -duration 30s
 //
-// Every grant is checked against a process-wide active-name table: a name
-// granted while still active is a uniqueness violation. An entry is held
-// from grant acknowledgement until its release is submitted (or the
-// session reports the grant revoked), so the table tracks grants across
-// session reconnects and the zero-duplicate assertion stays meaningful
-// under chaos. The final report's "duplicates: 0" line is what CI's
+// Every grant is checked against one process-wide grantcheck.Owners: a
+// name granted while an earlier grant of it is still held is a suspect,
+// and a suspect is a duplicate unless the session reported that earlier
+// grant revoked. A grant is held from acknowledgement until its release is
+// submitted (or its revocation reported), so the check spans session
+// reconnects and the zero-duplicate assertion stays meaningful under
+// chaos. The final report's "duplicates: 0" line is what CI's
 // end-to-end smoke greps for; any duplicate or error makes blload exit 1.
 // Errors are reported with their causes — "errors: 7 (not-held×7)", and
 // error_classes in the -json artifact — so a failed run names what failed.
@@ -63,6 +64,7 @@ import (
 	"time"
 
 	"ballsintoleaves/internal/namesvc"
+	"ballsintoleaves/internal/namesvc/grantcheck"
 	"ballsintoleaves/internal/stats"
 )
 
@@ -324,8 +326,7 @@ type shared struct {
 	stop     atomic.Bool
 	warm     atomic.Bool // measurement window open; false during warmup
 	clientID atomic.Uint64
-	active   []atomic.Uint32 // 1+name -> held?
-	dups     atomic.Uint64
+	owners   *grantcheck.Owners
 	classMu  sync.Mutex
 	classes  map[string]uint64 // counted errors by errorClass; guarded by classMu
 	shed     atomic.Uint64
@@ -402,15 +403,18 @@ func (wk *worker) fire(chain bool) {
 			wk.lat.Record(time.Since(t0).Nanoseconds())
 			wk.acquires++
 		}
-		// The active table is maintained across warmup and measurement (a
-		// held name is held regardless of when it was acquired); only the
-		// violation count is gated. The entry stays held until the release
-		// is submitted (see release) or the session reports the grant
-		// revoked — in particular it stays held across a session
-		// reconnect, so a name re-granted while its holder neither
-		// released nor lost it is caught as a duplicate.
-		if !sh.active[g.Name].CompareAndSwap(0, 1) && measured {
-			sh.dups.Add(1)
+		// Ownership is tracked across warmup and measurement (a held name
+		// is held regardless of when it was acquired); only measured
+		// grants are judged. The grant stays owned until its release is
+		// submitted (see release) or the session reports it revoked — in
+		// particular across a session reconnect, so a name re-granted
+		// while its holder neither released nor lost it is caught as a
+		// duplicate. The release names the grant by its client id.
+		g.Client = client
+		if measured {
+			sh.owners.Grant(g.Name, client)
+		} else {
+			sh.owners.Track(g.Name, client)
 		}
 		if chain && !sh.stop.Load() {
 			wk.comp <- completion{g, measured} // never blocks: cap covers every in-flight slot
@@ -429,8 +433,8 @@ func (wk *worker) fire(chain bool) {
 func (wk *worker) release(g namesvc.Grant, measured bool) {
 	// Mark free before the release frame is sent: once the server
 	// processes it the name may be re-granted to any connection, and the
-	// table must already allow it.
-	wk.shared.active[g.Name].Store(0)
+	// detector must already allow it.
+	wk.shared.owners.Release(g.Name, g.Client)
 	if err := wk.c.Release(g.Name, wk.relCB); err != nil {
 		wk.shared.countFailure(err, measured)
 		return
@@ -494,11 +498,8 @@ func runLoad(cfg *config) (*report, error) {
 			ConnectTimeout: cfg.timeout,
 			Seed:           uint64(i + 1),
 			OnGrantLost: func(client uint64, name int) {
-				// The server revoked this grant while the session was away;
-				// the name may already belong to someone else, so the table
-				// must stop counting it against this holder.
 				sh.lost.Add(1)
-				sh.active[name].Store(0)
+				sh.owners.Revoked(client, name)
 			},
 		})
 		if err != nil {
@@ -516,8 +517,8 @@ func runLoad(cfg *config) (*report, error) {
 			}
 			return nil, err
 		}
-		if sh.active == nil {
-			sh.active = make([]atomic.Uint32, c.Capacity()+1)
+		if sh.owners == nil {
+			sh.owners = grantcheck.NewOwners(c.Capacity())
 		}
 		wk := &worker{c: c, shared: sh,
 			comp: make(chan completion, cfg.outstanding),
@@ -643,16 +644,10 @@ func runLoad(cfg *config) (*report, error) {
 		rep.lat.Merge(&wk.lat)
 	}
 	for _, s := range sessions {
-		c := s.Counters()
-		rep.sess.Reconnects += c.Reconnects
-		rep.sess.Redirects += c.Redirects
-		rep.sess.Reclaimed += c.Reclaimed
-		rep.sess.Lost += c.Lost
-		rep.sess.Retries += c.Retries
-		rep.sess.Timeouts += c.Timeouts
+		rep.sess.Add(s.Counters())
 	}
 	rep.shed = sh.shed.Load()
-	rep.duplicates = sh.dups.Load()
+	rep.duplicates = uint64(len(sh.owners.Duplicates()))
 	sh.classMu.Lock()
 	rep.errClasses = sh.classes
 	sh.classMu.Unlock()

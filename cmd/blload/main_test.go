@@ -206,8 +206,6 @@ func TestSessionModeRun(t *testing.T) {
 // TestSessionModeRidesThroughReset resets every connection mid-run; the
 // sessions must self-heal — the run finishes with progress, zero
 // duplicates, zero hard errors, and at least one reconnect on record.
-// One connection keeps the active-name table single-writer so a grant
-// revoked by the reset cannot race another connection's re-acquire.
 func TestSessionModeRidesThroughReset(t *testing.T) {
 	t.Parallel()
 	addr := startDaemon(t)
@@ -217,7 +215,7 @@ func TestSessionModeRidesThroughReset(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { p.Close() })
-	cfg, err := parseFlags([]string{"-connect", p.Addr(), "-session", "-conns", "1",
+	cfg, err := parseFlags([]string{"-connect", p.Addr(), "-session", "-conns", "2",
 		"-outstanding", "8", "-duration", "900ms", "-op-timeout", "300ms", "-timeout", "2s"})
 	if err != nil {
 		t.Fatal(err)

@@ -1,11 +1,12 @@
 // Package faultnet is a deterministic network-fault layer: a per-link
 // fault state (partitions, one-way drops, added latency, bandwidth caps,
-// connection resets) applied either by wrapping in-process net.Conns
-// (Dialer/Listener) or by a TCP chaos proxy interposed on a real link
-// (proxy.go). Faults are driven by declarative, seed-deterministic
-// schedules (schedule.go) in the scripted-strategy style of
-// internal/adversary: a schedule compiled from (scenario, seed) is a pure
-// value, so the same seed always yields the same fault event sequence.
+// connection resets) applied by a TCP chaos proxy interposed on a real
+// link (proxy.go), and a Mesh that maps node-level faults onto the links
+// of an n-node cluster (mesh.go). Faults are driven by declarative,
+// seed-deterministic schedules (schedule.go) in the scripted-strategy
+// style of internal/adversary: a schedule compiled from (scenario, seed)
+// is a pure value, so the same seed always yields the same fault event
+// sequence.
 //
 // A partition is modeled as *stall*, not loss: TCP retransmits until the
 // route heals, so a dropped direction holds bytes (backpressure) rather
@@ -18,7 +19,6 @@ package faultnet
 import (
 	"errors"
 	"fmt"
-	"net"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -41,11 +41,8 @@ func (d Dir) String() string {
 	return "b->a"
 }
 
-// reverse returns the opposite direction.
-func (d Dir) reverse() Dir { return 1 - d }
-
-// ErrLinkClosed is returned by gated I/O when the link (or the particular
-// connection) was closed or reset while the operation waited out a fault.
+// ErrLinkClosed is returned by gated I/O when the connection was reset
+// while the operation waited out a fault.
 var ErrLinkClosed = errors.New("faultnet: link closed")
 
 // dirState is the fault state of one direction of a link.
@@ -56,17 +53,16 @@ type dirState struct {
 }
 
 // Link is the mutable fault state of one network link. All live
-// connections riding the link (wrapped conns and proxied pairs) consult it
-// on every transfer; Set* calls take effect immediately for blocked
-// transfers via condition broadcast.
+// proxied connections riding the link consult it on every transfer; Set*
+// calls take effect immediately for blocked transfers via condition
+// broadcast.
 type Link struct {
 	name string
 
-	mu     sync.Mutex
-	cond   *sync.Cond
-	dirs   [2]dirState
-	closed bool
-	conns  map[*gatedConn]struct{}
+	mu    sync.Mutex
+	cond  *sync.Cond
+	dirs  [2]dirState
+	conns map[*gatedConn]struct{}
 }
 
 // NewLink returns a healthy link. The name is used only for diagnostics.
@@ -75,9 +71,6 @@ func NewLink(name string) *Link {
 	l.cond = sync.NewCond(&l.mu)
 	return l
 }
-
-// Name returns the diagnostic name given at construction.
-func (l *Link) Name() string { return l.name }
 
 // SetDrop sets or clears the partition state of one direction.
 func (l *Link) SetDrop(d Dir, drop bool) {
@@ -143,27 +136,6 @@ func (l *Link) ResetConns() {
 	l.cond.Broadcast()
 }
 
-// Close marks the link closed and kills every live connection. Gated
-// operations in flight return ErrLinkClosed.
-func (l *Link) Close() {
-	l.mu.Lock()
-	if l.closed {
-		l.mu.Unlock()
-		return
-	}
-	l.closed = true
-	victims := make([]*gatedConn, 0, len(l.conns))
-	for c := range l.conns {
-		victims = append(victims, c)
-	}
-	l.conns = make(map[*gatedConn]struct{})
-	l.mu.Unlock()
-	for _, c := range victims {
-		c.kill()
-	}
-	l.cond.Broadcast()
-}
-
 // Dropped reports whether the given direction is currently partitioned.
 func (l *Link) Dropped(d Dir) bool {
 	l.mu.Lock()
@@ -171,15 +143,11 @@ func (l *Link) Dropped(d Dir) bool {
 	return l.dirs[d].drop
 }
 
-// register attaches a connection to the link for ResetConns/Close fanout.
-func (l *Link) register(c *gatedConn) error {
+// register attaches a connection to the link for ResetConns fanout.
+func (l *Link) register(c *gatedConn) {
 	l.mu.Lock()
-	defer l.mu.Unlock()
-	if l.closed {
-		return ErrLinkClosed
-	}
 	l.conns[c] = struct{}{}
-	return nil
+	l.mu.Unlock()
 }
 
 func (l *Link) unregister(c *gatedConn) {
@@ -189,14 +157,14 @@ func (l *Link) unregister(c *gatedConn) {
 }
 
 // gate blocks while dir is dropped, then applies latency and rate faults
-// for an n-byte transfer. It returns ErrLinkClosed if the link or the
-// connection dies while waiting — the caller must abandon the transfer.
+// for an n-byte transfer. It returns ErrLinkClosed if the connection dies
+// while waiting — the caller must abandon the transfer.
 func (l *Link) gate(dir Dir, n int, c *gatedConn) error {
 	l.mu.Lock()
-	for l.dirs[dir].drop && !l.closed && !c.dead.Load() {
+	for l.dirs[dir].drop && !c.dead.Load() {
 		l.cond.Wait()
 	}
-	if l.closed || c.dead.Load() {
+	if c.dead.Load() {
 		l.mu.Unlock()
 		return ErrLinkClosed
 	}
@@ -213,25 +181,9 @@ func (l *Link) gate(dir Dir, n int, c *gatedConn) error {
 	return nil
 }
 
-// gateDial blocks while dir is dropped — the lost-SYN model for new
-// connections into a partition. It returns nil once the direction is
-// clear, or ErrLinkClosed if the link/conn dies first.
-func (l *Link) gateDial(dir Dir, c *gatedConn) error {
-	return l.gate(dir, 0, c)
-}
-
-// Conn wraps a net.Conn with the link's fault state. The out direction
-// gates writes (bytes this endpoint originates); reads are gated in the
-// reverse direction after the bytes arrive, modeling in-flight delivery
-// delay and inbound partitions.
-type Conn struct {
-	net.Conn
-	gc  *gatedConn
-	out Dir
-}
-
-// gatedConn is the registration handle shared by wrapper conns and proxy
-// pairs: kill() closes the underlying transport(s) exactly once.
+// gatedConn is the registration handle of one proxied connection — the
+// accepted side alone while the target dial waits, then the pair: kill()
+// closes the underlying transport(s) exactly once.
 type gatedConn struct {
 	link  *Link
 	dead  atomic.Bool
@@ -244,108 +196,6 @@ func (g *gatedConn) kill() {
 	g.once.Do(g.close)
 	// Wake any gate() blocked on this connection inside a partition.
 	g.link.cond.Broadcast()
-}
-
-// newConn wraps nc on link; out is the direction of bytes written by this
-// endpoint.
-func newConn(nc net.Conn, link *Link, out Dir) (*Conn, error) {
-	gc := &gatedConn{link: link, close: func() { nc.Close() }}
-	if err := link.register(gc); err != nil {
-		nc.Close()
-		return nil, err
-	}
-	return &Conn{Conn: nc, gc: gc, out: out}, nil
-}
-
-// Read delivers inbound bytes after gating them through the link's
-// inbound direction.
-func (c *Conn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if n > 0 {
-		if gerr := c.gc.link.gate(c.out.reverse(), n, c.gc); gerr != nil {
-			c.Close()
-			return 0, gerr
-		}
-	}
-	return n, err
-}
-
-// Write gates outbound bytes through the link's outbound direction before
-// handing them to the transport.
-func (c *Conn) Write(p []byte) (int, error) {
-	if err := c.gc.link.gate(c.out, len(p), c.gc); err != nil {
-		c.Close()
-		return 0, err
-	}
-	return c.Conn.Write(p)
-}
-
-// Close closes the wrapped connection and detaches it from the link.
-func (c *Conn) Close() error {
-	c.gc.kill()
-	c.gc.link.unregister(c.gc)
-	return nil
-}
-
-// Dialer dials through a link: the resulting connection's writes ride
-// AtoB (the dialer is A). The Dial field, when set, replaces
-// net.DialTimeout — it is the hook namesvc.ClientConfig.Dial composes
-// with.
-type Dialer struct {
-	Link    *Link
-	Timeout time.Duration
-	Dial    func(addr string) (net.Conn, error)
-}
-
-// DialContextless dials addr through the fault link. A dial toward a
-// dropped AtoB direction blocks (lost SYN) until heal, reset, or link
-// close.
-func (d *Dialer) DialContextless(addr string) (net.Conn, error) {
-	// Gate before connecting: a SYN into a partition never completes the
-	// handshake. Use a transient registration so ResetConns aborts us.
-	gc := &gatedConn{link: d.Link, close: func() {}}
-	if err := d.Link.register(gc); err != nil {
-		return nil, err
-	}
-	err := d.Link.gateDial(AtoB, gc)
-	d.Link.unregister(gc)
-	if err != nil {
-		return nil, err
-	}
-	var nc net.Conn
-	if d.Dial != nil {
-		nc, err = d.Dial(addr)
-	} else {
-		to := d.Timeout
-		if to <= 0 {
-			to = 10 * time.Second
-		}
-		nc, err = net.DialTimeout("tcp", addr, to)
-	}
-	if err != nil {
-		return nil, err
-	}
-	return newConn(nc, d.Link, AtoB)
-}
-
-// Listener wraps an accept loop with the link: accepted connections'
-// writes ride BtoA (the listener is B).
-type Listener struct {
-	net.Listener
-	Link *Link
-}
-
-// Accept returns the next connection wrapped in the link's fault state.
-func (ln *Listener) Accept() (net.Conn, error) {
-	nc, err := ln.Listener.Accept()
-	if err != nil {
-		return nil, err
-	}
-	c, err := newConn(nc, ln.Link, BtoA)
-	if err != nil {
-		return nil, err
-	}
-	return c, nil
 }
 
 // String renders the link's current fault state for logs.

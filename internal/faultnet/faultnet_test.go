@@ -252,68 +252,3 @@ func TestLatencyInjection(t *testing.T) {
 		t.Fatalf("RTT %v under injected 60ms latency", rtt)
 	}
 }
-
-func TestListenerWrapperGatesOutbound(t *testing.T) {
-	link := NewLink("wrap")
-	raw, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatalf("listen: %v", err)
-	}
-	ln := &Listener{Listener: raw, Link: link}
-	t.Cleanup(func() { ln.Close(); link.Close() })
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				c.Write([]byte("banner"))
-			}(c)
-		}
-	}()
-	link.SetDrop(BtoA, true) // listener's outbound
-	c := dial(t, raw.Addr().String())
-	if got, err := readN(t, c, 6, 300*time.Millisecond); err == nil {
-		t.Fatalf("banner %q delivered through wrapped-listener drop", got)
-	}
-	link.SetDrop(BtoA, false)
-	got, err := readN(t, c, 6, 5*time.Second)
-	if err != nil {
-		t.Fatalf("banner after heal: %v", err)
-	}
-	if string(got) != "banner" {
-		t.Fatalf("got %q, want %q", got, "banner")
-	}
-}
-
-func TestDialerWrapperBlocksIntoPartition(t *testing.T) {
-	addr := echoServer(t, "")
-	link := NewLink("dialer")
-	t.Cleanup(link.Close)
-	link.SetDrop(AtoB, true)
-	d := &Dialer{Link: link, Timeout: time.Second}
-	done := make(chan error, 1)
-	go func() {
-		c, err := d.DialContextless(addr)
-		if err == nil {
-			c.Close()
-		}
-		done <- err
-	}()
-	select {
-	case err := <-done:
-		t.Fatalf("dial completed through partition (err=%v)", err)
-	case <-time.After(200 * time.Millisecond):
-	}
-	link.Heal()
-	select {
-	case err := <-done:
-		if err != nil {
-			t.Fatalf("dial after heal: %v", err)
-		}
-	case <-time.After(5 * time.Second):
-		t.Fatal("dial still blocked after heal")
-	}
-}

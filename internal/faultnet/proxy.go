@@ -44,12 +44,6 @@ func NewProxy(listen, target string, link *Link) (*Proxy, error) {
 // Addr returns the proxy's listen address.
 func (p *Proxy) Addr() string { return p.ln.Addr().String() }
 
-// Target returns the forwarding destination.
-func (p *Proxy) Target() string { return p.target }
-
-// Link returns the fault state governing this proxy.
-func (p *Proxy) Link() *Link { return p.link }
-
 // Close stops accepting and tears down every proxied connection.
 func (p *Proxy) Close() error {
 	p.mu.Lock()
@@ -83,11 +77,8 @@ func (p *Proxy) acceptLoop() {
 func (p *Proxy) handle(cc net.Conn) {
 	defer p.wg.Done()
 	gc := &gatedConn{link: p.link, close: func() { cc.Close() }}
-	if err := p.link.register(gc); err != nil {
-		cc.Close()
-		return
-	}
-	if err := p.link.gateDial(AtoB, gc); err != nil {
+	p.link.register(gc)
+	if err := p.link.gate(AtoB, 0, gc); err != nil {
 		p.link.unregister(gc)
 		cc.Close()
 		return
@@ -105,11 +96,7 @@ func (p *Proxy) handle(cc net.Conn) {
 		cc.Close()
 		tc.Close()
 	}
-	if err := p.link.register(pair); err != nil {
-		cc.Close()
-		tc.Close()
-		return
-	}
+	p.link.register(pair)
 	var pumps sync.WaitGroup
 	pumps.Add(2)
 	go func() {

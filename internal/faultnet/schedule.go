@@ -135,26 +135,14 @@ func Compile(name string, d time.Duration, seed uint64) ([]Event, error) {
 	return ev, nil
 }
 
-// Applier binds a role selector to concrete link state at fire time.
-// Implementations decide which links a target touches (a node's client
-// link plus every peer link, typically) and how OneWay maps onto
-// per-connection directions.
-type Applier interface {
-	Apply(Event)
-}
-
-// ApplierFunc adapts a closure to Applier.
-type ApplierFunc func(Event)
-
-// Apply implements Applier.
-func (f ApplierFunc) Apply(e Event) { f(e) }
-
-// Driver fires a compiled schedule against an Applier in real time. The
+// Driver fires a compiled schedule in real time through an apply
+// function, which resolves each event's role selector to a node at fire
+// time (Mesh.Apply then maps the fault onto that node's links). The
 // fired log records each event with its *scheduled* offset, so the
 // observable sequence is deterministic regardless of wall-clock jitter.
 type Driver struct {
 	events []Event
-	apply  Applier
+	apply  func(Event)
 	logf   func(format string, args ...any)
 
 	mu    sync.Mutex
@@ -162,7 +150,7 @@ type Driver struct {
 }
 
 // NewDriver builds a driver over a compiled schedule. logf may be nil.
-func NewDriver(events []Event, apply Applier, logf func(string, ...any)) *Driver {
+func NewDriver(events []Event, apply func(Event), logf func(string, ...any)) *Driver {
 	if logf == nil {
 		logf = func(string, ...any) {}
 	}
@@ -171,7 +159,7 @@ func NewDriver(events []Event, apply Applier, logf func(string, ...any)) *Driver
 
 // Run fires every event at its offset from now, in order; it returns
 // after the last event, or early when stop closes. Events are applied
-// synchronously — Appliers must not block for long.
+// synchronously — apply must not block for long.
 func (dr *Driver) Run(stop <-chan struct{}) {
 	start := time.Now()
 	for _, e := range dr.events {
@@ -192,7 +180,7 @@ func (dr *Driver) Run(stop <-chan struct{}) {
 			}
 		}
 		dr.logf("chaos: %s", e)
-		dr.apply.Apply(e)
+		dr.apply(e)
 		dr.mu.Lock()
 		dr.fired = append(dr.fired, e)
 		dr.mu.Unlock()

@@ -60,11 +60,11 @@ func TestDriverFiresScheduleInOrder(t *testing.T) {
 	}
 	var mu sync.Mutex
 	var applied []Event
-	dr := NewDriver(ev, ApplierFunc(func(e Event) {
+	dr := NewDriver(ev, func(e Event) {
 		mu.Lock()
 		applied = append(applied, e)
 		mu.Unlock()
-	}), t.Logf)
+	}, t.Logf)
 	stop := make(chan struct{})
 	dr.Run(stop)
 	mu.Lock()
@@ -84,7 +84,7 @@ func TestDriverStops(t *testing.T) {
 		{At: 0, Action: ActReset, Target: "leader"},
 		{At: time.Hour, Action: ActHeal, Target: "leader"},
 	}
-	dr := NewDriver(ev, ApplierFunc(func(Event) {}), nil)
+	dr := NewDriver(ev, func(Event) {}, nil)
 	stop := make(chan struct{})
 	done := make(chan struct{})
 	go func() {

@@ -32,11 +32,6 @@ type ClientConfig struct {
 	// 30 seconds. Reads are unbounded: a quiet server is a server with no
 	// grants to hand out yet.
 	Timeout time.Duration
-	// Dial replaces the default net.DialTimeout("tcp", addr, Timeout) when
-	// set. It is the seam fault-injection layers (internal/faultnet) and
-	// tests use to interpose on the transport; implementations must
-	// return a connected stream or an error within their own budget.
-	Dial func(addr string) (net.Conn, error)
 	// FlushInterval is the write-coalescing window: operations buffer their
 	// frames and a background flusher pushes them at this cadence, so a
 	// pipelining caller pays one syscall per window, not per operation.
@@ -134,13 +129,7 @@ type Client struct {
 // and flush loops.
 func Dial(addr string, cfg ClientConfig) (*Client, error) {
 	cfg.normalize()
-	var conn net.Conn
-	var err error
-	if cfg.Dial != nil {
-		conn, err = cfg.Dial(addr)
-	} else {
-		conn, err = net.DialTimeout("tcp", addr, cfg.Timeout)
-	}
+	conn, err := net.DialTimeout("tcp", addr, cfg.Timeout)
 	if err != nil {
 		return nil, err
 	}

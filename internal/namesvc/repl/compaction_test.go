@@ -199,7 +199,7 @@ func TestCompactionBoundsQueueUnderPartition(t *testing.T) {
 	c.waitConverged(0)
 	c.assertReplicasMatch()
 
-	fc.partitionNode(2)
+	fc.mesh.Partition(2, false)
 	// 17 epochs seal 2 records per epoch close per shard pair — far past
 	// both the retention bound and two snapshot cycles (SnapshotEvery 8).
 	churn(17)
@@ -248,7 +248,7 @@ func TestCompactionBoundsQueueUnderPartition(t *testing.T) {
 		time.Sleep(10 * time.Millisecond)
 	}
 
-	fc.healNode(2)
+	fc.mesh.Heal(2)
 	churn(1)
 	c.waitConverged(0)
 	c.assertReplicasMatch()

@@ -2,7 +2,6 @@ package repl
 
 import (
 	"errors"
-	"fmt"
 	"net"
 	"strings"
 	"testing"
@@ -12,16 +11,14 @@ import (
 	"ballsintoleaves/internal/namesvc"
 )
 
-// faultCluster is a cluster whose peer links all ride faultnet proxies:
+// faultCluster is a cluster whose peer links all ride a faultnet.Mesh:
 // every ordered pair (i, j) gets its own proxy and link, so a node can be
 // partitioned from the rest — in one or both directions — without
 // touching the node itself. Node i's Peers view routes peer j through
-// proxy[i][j]; client addresses stay canonical so redirect hints are
-// comparable across views.
+// i's proxy toward j.
 type faultCluster struct {
 	*cluster
-	links   [][]*faultnet.Link  // links[i][j]: traffic node i originates toward j
-	proxies [][]*faultnet.Proxy // proxies[i][j]: node i's route to node j
+	mesh *faultnet.Mesh
 }
 
 func startFaultCluster(t *testing.T, size int, opts ...func(*Config)) *faultCluster {
@@ -29,11 +26,12 @@ func startFaultCluster(t *testing.T, size int, opts ...func(*Config)) *faultClus
 	return startFaultClusterWithClients(t, size, nil, opts...)
 }
 
-// startFaultClusterWithClients lets the caller supply real client-facing
-// addresses (chaos tests run namesvc Servers behind client proxies, and
-// redirect hints must name addresses sessions can dial); nil keeps the
-// placeholder addresses plain repl tests use.
-func startFaultClusterWithClients(t *testing.T, size int, clientAddrs []string, opts ...func(*Config)) *faultCluster {
+// startFaultClusterWithClients also puts the mesh's client proxies in
+// front of real client-facing listeners (chaos tests run namesvc Servers
+// on clientTargets); each node then advertises its client proxy, since
+// redirect hints must name addresses sessions dial. nil keeps the
+// placeholder client addresses plain repl tests use.
+func startFaultClusterWithClients(t *testing.T, size int, clientTargets []string, opts ...func(*Config)) *faultCluster {
 	t.Helper()
 	fc := &faultCluster{cluster: &cluster{t: t, logf: testLogf(t)}}
 	c := fc.cluster
@@ -45,43 +43,29 @@ func startFaultClusterWithClients(t *testing.T, size int, clientAddrs []string, 
 			t.Fatalf("binding replication listener: %v", err)
 		}
 		lns[i] = ln
-		clientAddr := "client-" + ln.Addr().String()
-		if clientAddrs != nil {
-			clientAddr = clientAddrs[i]
-		}
 		c.peers = append(c.peers, PeerSpec{
 			ReplAddr:   ln.Addr().String(),
-			ClientAddr: clientAddr,
+			ClientAddr: "client-" + ln.Addr().String(),
 		})
 	}
 
-	fc.links = make([][]*faultnet.Link, size)
-	fc.proxies = make([][]*faultnet.Proxy, size)
-	for i := 0; i < size; i++ {
-		fc.links[i] = make([]*faultnet.Link, size)
-		fc.proxies[i] = make([]*faultnet.Proxy, size)
-		for j := 0; j < size; j++ {
-			if j == i {
-				continue
-			}
-			link := faultnet.NewLink(fmt.Sprintf("repl-%d->%d", i, j))
-			p, err := faultnet.NewProxy("127.0.0.1:0", c.peers[j].ReplAddr, link)
-			if err != nil {
-				t.Fatalf("starting proxy %d->%d: %v", i, j, err)
-			}
-			fc.links[i][j] = link
-			fc.proxies[i][j] = p
+	var clientRoute func(i int) (string, string)
+	if clientTargets != nil {
+		clientRoute = func(i int) (string, string) { return "127.0.0.1:0", clientTargets[i] }
+	}
+	mesh, err := faultnet.NewMesh(size,
+		func(i, j int) (string, string) { return "127.0.0.1:0", c.peers[j].ReplAddr },
+		clientRoute)
+	if err != nil {
+		t.Fatalf("starting fault mesh: %v", err)
+	}
+	t.Cleanup(mesh.Close)
+	fc.mesh = mesh
+	if clientTargets != nil {
+		for i := range c.peers {
+			c.peers[i].ClientAddr = mesh.ClientAddr(i)
 		}
 	}
-	t.Cleanup(func() {
-		for i := range fc.proxies {
-			for j := range fc.proxies[i] {
-				if fc.proxies[i][j] != nil {
-					fc.proxies[i][j].Close()
-				}
-			}
-		}
-	})
 
 	for i := 0; i < size; i++ {
 		// Node i's view: itself at its real address, every peer behind
@@ -90,7 +74,7 @@ func startFaultClusterWithClients(t *testing.T, size int, clientAddrs []string, 
 		copy(view, c.peers)
 		for j := 0; j < size; j++ {
 			if j != i {
-				view[j].ReplAddr = fc.proxies[i][j].Addr()
+				view[j].ReplAddr = mesh.PeerAddr(i, j)
 			}
 		}
 		sinks := memSinks()
@@ -117,34 +101,6 @@ func startFaultClusterWithClients(t *testing.T, size int, clientAddrs []string, 
 	}
 	t.Cleanup(c.close)
 	return fc
-}
-
-// partitionNode cuts node x off in both directions: every link touching x
-// drops, and established flows are reset so stream failures surface at
-// once instead of after an I/O timeout. New dials toward x (and from x)
-// stall like lost SYNs until heal.
-func (fc *faultCluster) partitionNode(x int) {
-	for j := range fc.links {
-		if j == x {
-			continue
-		}
-		fc.links[x][j].Partition(false)
-		fc.links[x][j].ResetConns()
-		fc.links[j][x].Partition(false)
-		fc.links[j][x].ResetConns()
-	}
-}
-
-// healNode clears every fault on links touching node x. Dial attempts
-// held at the partition gate complete immediately.
-func (fc *faultCluster) healNode(x int) {
-	for j := range fc.links {
-		if j == x {
-			continue
-		}
-		fc.links[x][j].Heal()
-		fc.links[j][x].Heal()
-	}
 }
 
 // TestFollowerPartitionSnapshotCatchUp: a follower partitioned while the
@@ -177,7 +133,7 @@ func TestFollowerPartitionSnapshotCatchUp(t *testing.T) {
 	c.assertReplicasMatch()
 
 	for cycle := 0; cycle < 2; cycle++ {
-		fc.partitionNode(2)
+		fc.mesh.Partition(2, false)
 		// SnapshotEvery is 8 and each epoch close seals one record per
 		// shard, so 17 epochs put every shard more than two snapshot
 		// cycles ahead of the cut-off follower. Quorum is the live pair.
@@ -192,7 +148,7 @@ func TestFollowerPartitionSnapshotCatchUp(t *testing.T) {
 			}
 		}
 
-		fc.healNode(2)
+		fc.mesh.Heal(2)
 		// Post-heal records ride the stream tail after the snapshot
 		// attach point.
 		churn(1)
@@ -226,7 +182,7 @@ func TestMinorityLeaderFencesAfterPartition(t *testing.T) {
 	c.waitConverged(0)
 	c.assertReplicasMatch()
 
-	fc.partitionNode(0)
+	fc.mesh.Partition(0, false)
 
 	// Doomed writes on the minority leader: applied locally, never
 	// committed. WaitCommitted must block (and later fail) — these
@@ -300,7 +256,7 @@ func TestMinorityLeaderFencesAfterPartition(t *testing.T) {
 	}
 	closeEpochs(t, c, 1)
 
-	fc.healNode(0)
+	fc.mesh.Heal(0)
 
 	// Heal lets the new leader's stream reach node 0 and redirect it.
 	for {

@@ -172,7 +172,7 @@ func TestDeposedLeaderDiscardsBothDeliveryBuffers(t *testing.T) {
 		<-gate.entered
 	}
 
-	fc.partitionNode(0)
+	fc.mesh.Partition(0, false)
 
 	// Doomed epoch one: closed, staged, swapped into flight, its commit
 	// wait blocked for want of a quorum.
@@ -272,7 +272,7 @@ func TestDeposedLeaderDiscardsBothDeliveryBuffers(t *testing.T) {
 	}
 
 	// On heal the old leader's doomed epochs are overwritten.
-	fc.healNode(0)
+	fc.mesh.Heal(0)
 	c.waitConverged(1)
 	c.assertReplicasMatch()
 }

@@ -3,12 +3,12 @@ package repl
 import (
 	"net"
 	"slices"
-	"sync"
 	"testing"
 	"time"
 
 	"ballsintoleaves/internal/namesvc"
 	"ballsintoleaves/internal/namesvc/durable"
+	"ballsintoleaves/internal/namesvc/grantcheck"
 )
 
 // TestSessionExactlyOnceAcrossFailovers: one holder session and one
@@ -103,77 +103,28 @@ func TestSessionExactlyOnceAcrossFailovers(t *testing.T) {
 		t.Fatal("node 0 failed to take leadership")
 	}
 
-	table := newGrantTable()
-	sessionCfg := func(label string, seed uint64) namesvc.SessionConfig {
-		return namesvc.SessionConfig{
+	// One holder and one churn session: with the holder, the churn gives
+	// the duplicate check two live sessions to catch a double-grant
+	// between.
+	load, err := grantcheck.Start(grantcheck.Config{
+		Session: namesvc.SessionConfig{
 			Addrs:          clientAddrs,
 			Client:         namesvc.ClientConfig{Timeout: 300 * time.Millisecond},
 			OpTimeout:      500 * time.Millisecond,
 			ConnectTimeout: 10 * time.Second,
 			BackoffBase:    10 * time.Millisecond,
 			BackoffMax:     100 * time.Millisecond,
-			Seed:           seed,
 			Logf:           logf,
-			OnGrantLost:    func(client uint64, name int) { table.cleared(name, label) },
-		}
-	}
-
-	holder, err := namesvc.DialSession(sessionCfg("holder", 1))
+		},
+		Hold:  holderGrants,
+		Churn: 1,
+	})
 	if err != nil {
-		t.Fatalf("dialing holder session: %v", err)
+		t.Fatal(err)
 	}
-	defer func() { holder.Close(); holder.Wait() }()
-	wantNames := make(map[int]bool, holderGrants)
-	for i := 0; i < holderGrants; i++ {
-		g, err := holder.AcquireSync(uint64(101 + i))
-		if err != nil {
-			t.Fatalf("holder acquire %d: %v", i, err)
-		}
-		table.granted(g.Name, "holder")
-		wantNames[g.Name] = true
-	}
-
-	// A churn worker keeps acquiring and releasing through every
-	// failover; with the holder it gives the duplicate table two live
-	// sessions to catch a double-grant between.
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	churnSess, err := namesvc.DialSession(sessionCfg("churn", 7))
-	if err != nil {
-		t.Fatalf("dialing churn session: %v", err)
-	}
-	wg.Add(1)
-	go func() {
-		defer wg.Done()
-		client := uint64(500000)
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			client++
-			g, err := churnSess.AcquireSync(client)
-			if err != nil {
-				continue // timeouts and redirects during failovers
-			}
-			table.granted(g.Name, "churn")
-			table.cleared(g.Name, "churn") // free-at-release-submit
-			churnSess.ReleaseSync(g.Name)
-		}
-	}()
-	wg.Add(1)
-	go func() { // holder keepalive: ops are what notice dead connections
-		defer wg.Done()
-		for {
-			select {
-			case <-stop:
-				return
-			case <-time.After(50 * time.Millisecond):
-				holder.StatsSync()
-			}
-		}
-	}()
+	defer load.Close()
+	holder := load.Holder()
+	wantNames := holder.Held()
 
 	leader := 0
 	var prevCounters namesvc.SessionCounters
@@ -232,7 +183,7 @@ func TestSessionExactlyOnceAcrossFailovers(t *testing.T) {
 			t.Fatalf("round %d: holder holds %d grants, want %d: %v", round, len(held), holderGrants, held)
 		}
 		for name := range held {
-			if !wantNames[name] {
+			if _, ok := wantNames[name]; !ok {
 				t.Fatalf("round %d: holder holds name %d it was never granted", round, name)
 			}
 		}
@@ -283,27 +234,14 @@ func TestSessionExactlyOnceAcrossFailovers(t *testing.T) {
 		}
 	}
 
-	close(stop)
-	wg.Wait()
-
 	// Every holder grant releases exactly once on the final leader; churn
 	// stragglers (releases that timed out mid-failover) drain too.
-	for name := range holder.Held() {
-		table.cleared(name, "holder")
-		if err := holder.ReleaseSync(name); err != nil {
-			t.Fatalf("releasing reclaimed grant %d: %v", name, err)
-		}
+	res, err := load.Settle(10 * time.Second)
+	if err != nil {
+		t.Fatal(err)
 	}
-	for name := range churnSess.Held() {
-		table.cleared(name, "churn")
-		if err := churnSess.ReleaseSync(name); err != nil {
-			t.Fatalf("churn releasing straggler %d: %v", name, err)
-		}
-	}
-	churnSess.Close()
-	churnSess.Wait()
-	if dups := table.duplicates(); len(dups) != 0 {
-		t.Fatalf("duplicate grants across failovers: %v", dups)
+	if len(res.Duplicates) != 0 {
+		t.Fatalf("duplicate grants across failovers: %v", res.Duplicates)
 	}
 
 	// All three replicas — the twice-restarted members included — end

@@ -24,8 +24,8 @@ type SessionConfig struct {
 	// Addrs are the cluster's client addresses, tried in order (after any
 	// fresher leader hint) on every connect. Required, at least one.
 	Addrs []string
-	// Client is the per-connection configuration (timeout, flush window,
-	// and the Dial hook fault-injection tests use).
+	// Client is the per-connection configuration (timeout and flush
+	// window).
 	Client ClientConfig
 	// OpTimeout bounds every operation end to end: an op that cannot
 	// complete within it — across connection failures, redirects, and
@@ -89,6 +89,16 @@ type SessionCounters struct {
 	Lost       uint64 // grants the server revoked while the session was away
 	Retries    uint64 // ops resubmitted after a connection failure
 	Timeouts   uint64 // ops failed with ErrOpTimeout
+}
+
+// Add accumulates d into c, field by field.
+func (c *SessionCounters) Add(d SessionCounters) {
+	c.Reconnects += d.Reconnects
+	c.Redirects += d.Redirects
+	c.Reclaimed += d.Reclaimed
+	c.Lost += d.Lost
+	c.Retries += d.Retries
+	c.Timeouts += d.Timeouts
 }
 
 const (
