@@ -291,115 +291,85 @@ func (c *Client) send(p pendingOp, op byte, arg, arg2, arg3 uint64) error {
 	return c.writeLocked(tag)
 }
 
-// AcquireSync acquires and waits for the grant.
-func (c *Client) AcquireSync(client uint64) (Grant, error) {
+// await is the body of every *Sync wrapper: start issues one op whose
+// callback reports through done, flush pushes it onto the wire, and await
+// returns what the callback reported — or start's or flush's error.
+func await[T any](start func(done func(T, error)) error, flush func() error) (T, error) {
 	type result struct {
-		g   Grant
+		v   T
 		err error
 	}
 	ch := make(chan result, 1)
-	if err := c.Acquire(client, func(g Grant, err error) { ch <- result{g, err} }); err != nil {
-		return Grant{}, err
+	var zero T
+	if err := start(func(v T, err error) { ch <- result{v, err} }); err != nil {
+		return zero, err
 	}
-	if err := c.Flush(); err != nil {
-		return Grant{}, err
+	if err := flush(); err != nil {
+		return zero, err
 	}
 	r := <-ch
-	return r.g, r.err
+	return r.v, r.err
+}
+
+// acked adapts an await callback to an op that reports only an error.
+func acked(done func(struct{}, error)) func(error) {
+	return func(err error) { done(struct{}{}, err) }
+}
+
+// AcquireSync acquires and waits for the grant.
+func (c *Client) AcquireSync(client uint64) (Grant, error) {
+	return await(func(done func(Grant, error)) error { return c.Acquire(client, done) }, c.Flush)
 }
 
 // ReleaseSync releases and waits for the acknowledgement.
 func (c *Client) ReleaseSync(name int) error {
-	ch := make(chan error, 1)
-	if err := c.Release(name, func(err error) { ch <- err }); err != nil {
-		return err
-	}
-	if err := c.Flush(); err != nil {
-		return err
-	}
-	return <-ch
+	_, err := await(func(done func(struct{}, error)) error { return c.Release(name, acked(done)) }, c.Flush)
+	return err
 }
 
 // ReclaimSync reclaims and waits for the acknowledgement.
 func (c *Client) ReclaimSync(client uint64, name int) error {
-	ch := make(chan error, 1)
-	if err := c.Reclaim(client, name, func(err error) { ch <- err }); err != nil {
-		return err
-	}
-	if err := c.Flush(); err != nil {
-		return err
-	}
-	return <-ch
+	_, err := await(func(done func(struct{}, error)) error {
+		return c.Reclaim(client, name, acked(done))
+	}, c.Flush)
+	return err
 }
 
 // EpochSync closes one epoch on a manual-epoch server and waits for the
 // reply. When it returns, every grant the epoch handed to this connection
 // has already been dispatched to its Acquire callback.
 func (c *Client) EpochSync(shard int) (epoch uint64, granted int, err error) {
-	type result struct {
+	type reply struct {
 		epoch   uint64
 		granted int
-		err     error
 	}
-	ch := make(chan result, 1)
-	if err := c.Epoch(shard, func(epoch uint64, granted int, err error) {
-		ch <- result{epoch, granted, err}
-	}); err != nil {
-		return 0, 0, err
-	}
-	if err := c.Flush(); err != nil {
-		return 0, 0, err
-	}
-	r := <-ch
-	return r.epoch, r.granted, r.err
+	r, err := await(func(done func(reply, error)) error {
+		return c.Epoch(shard, func(epoch uint64, granted int, err error) { done(reply{epoch, granted}, err) })
+	}, c.Flush)
+	return r.epoch, r.granted, err
 }
 
 // JournalSync fetches a shard's entire retained journal window, paging until
 // the server reports no further entries.
 func (c *Client) JournalSync(shard int) ([]Entry, error) {
-	type result struct {
-		page JournalPage
-		err  error
-	}
-	ch := make(chan result, 1)
 	var entries []Entry
 	for start := 0; ; {
-		if err := c.Journal(shard, start, journalPageMax, func(page JournalPage, err error) {
-			ch <- result{page, err}
-		}); err != nil {
+		page, err := await(func(done func(JournalPage, error)) error {
+			return c.Journal(shard, start, journalPageMax, done)
+		}, c.Flush)
+		if err != nil {
 			return nil, err
 		}
-		if err := c.Flush(); err != nil {
-			return nil, err
-		}
-		r := <-ch
-		if r.err != nil {
-			return nil, r.err
-		}
-		entries = append(entries, r.page.Entries...)
-		start += len(r.page.Entries)
-		if start >= r.page.Total || len(r.page.Entries) == 0 {
+		entries = append(entries, page.Entries...)
+		start += len(page.Entries)
+		if start >= page.Total || len(page.Entries) == 0 {
 			return entries, nil
 		}
 	}
 }
 
 // StatsSync fetches the server's counters.
-func (c *Client) StatsSync() (Stats, error) {
-	type result struct {
-		st  Stats
-		err error
-	}
-	ch := make(chan result, 1)
-	if err := c.Stats(func(st Stats, err error) { ch <- result{st, err} }); err != nil {
-		return Stats{}, err
-	}
-	if err := c.Flush(); err != nil {
-		return Stats{}, err
-	}
-	r := <-ch
-	return r.st, r.err
-}
+func (c *Client) StatsSync() (Stats, error) { return await(c.Stats, c.Flush) }
 
 // register records the pending op in a vacant slot (growing the table only
 // when every slot is in flight) and returns its tag. It runs before the

@@ -121,7 +121,9 @@ func (s *Server) closeStaged(shard int) (granted int, err error) {
 		d.cond.Wait()
 	}
 	grants, err := s.svc.CloseEpoch(shard)
-	if len(grants) > 0 {
+	if len(grants) > 0 || err != nil {
+		// An epoch that failed to log may have staged grants for the
+		// deliverer to discard.
 		d.cond.Broadcast()
 	}
 	return len(grants), err

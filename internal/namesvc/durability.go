@@ -3,6 +3,7 @@ package namesvc
 import (
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"ballsintoleaves/internal/namesvc/durable"
 	"ballsintoleaves/internal/wire"
@@ -23,14 +24,14 @@ import (
 // replayLocked replays and proves a record, and appendRecordLocked appends
 // a sealed record to the shard's store.
 //
-// Failure policy: the service fails OPEN. If a WAL append or checkpoint
-// errors (disk full, injected crash), the shard keeps serving from memory,
-// logs the degradation once, counts it in Stats.WALFailures, and stops
-// touching the poisoned store — acknowledged operations after that point
-// are volatile, exactly as if -data-dir had not been given. The
-// alternative (fail stop) trades availability for a guarantee the
-// single-node deployment cannot fully honor anyway; replication is the
-// planned fix, and the seam for it is the durable.Store record stream.
+// Failure policy: a shard fails closed. Its first WAL append, checkpoint
+// or fsync error (disk full, injected crash) is its sticky failure: every
+// later write on it is refused with an error wrapping it, and so is the
+// epoch, replicated record or restore whose own write failed; every commit
+// wait returns it, so grants it may not have logged are never delivered
+// (after a power cut they would be granted again). A release whose record
+// failed still succeeds: the record has reached the replication hook, and
+// a lost release only leaks its name.
 
 // FsyncMode selects when WAL records reach stable storage. Both modes
 // make a grant durable before any client can observe it; a mode that
@@ -83,7 +84,7 @@ type Durability struct {
 	// bounding recovery replay and WAL disk growth. Zero means 4096.
 	SnapshotEvery int
 	// Logf, when non-nil, receives durability log lines (recovery summary,
-	// degradation warnings).
+	// the failure that makes a shard refuse writes).
 	Logf func(format string, args ...any)
 }
 
@@ -105,27 +106,37 @@ func (d *Durability) normalized(shards int) (*Durability, error) {
 }
 
 // shardWAL is one shard's durability state, guarded by the shard lock —
-// except store.Sync, which flushes run without it (see syncShard).
+// except store.Sync and err, which flushes use without it (see syncShard).
 type shardWAL struct {
 	store     *durable.Store
 	w         wire.Writer // record/snapshot encode scratch
 	snapEvery int
 	sinceSnap int
 	logf      func(format string, args ...any)
-	err       error // sticky: first failure degrades the shard to volatile
+	err       atomic.Pointer[error] // sticky first failure: the shard refuses writes
 	records   uint64
 	snapshots uint64
-	failures  uint64
 }
 
-// fail records the first durability failure and logs the degradation.
+// fail records the shard's first durability failure and logs it.
 func (d *shardWAL) fail(shardIdx int, err error) {
-	d.failures++
-	if d.err != nil {
-		return
+	refused := fmt.Errorf("namesvc: shard %d refuses writes: %w", shardIdx, err)
+	if d.err.CompareAndSwap(nil, &refused) {
+		d.logf("shard %d: durability failed, refusing writes from here on: %v", shardIdx, err)
 	}
-	d.err = err
-	d.logf("shard %d: durability failed, serving volatile from here on: %v", shardIdx, err)
+}
+
+// refusal is the shard's sticky failure, the error every write on it
+// returns; nil while the shard logs, and always on a volatile service. It
+// takes no lock.
+func (sh *shard) refusal() error {
+	if sh.dur == nil {
+		return nil
+	}
+	if p := sh.dur.err.Load(); p != nil {
+		return *p
+	}
+	return nil
 }
 
 // WAL payload format (inside durable's CRC framing). A record seals the
@@ -299,8 +310,7 @@ func decodeWALSnapshot(payload []byte, shardIdx int) (walSeal, []uint64, []Entry
 
 // flushWALLocked drains the ledger's staged events into one WAL record
 // sealing the shard's current state (see appendRecordLocked); sh.mu must be
-// held. With nothing staged (or durability off, or the shard degraded and
-// no record hook) it is a no-op.
+// held. With nothing staged (or durability off) it is a no-op.
 func (s *Service) flushWALLocked(shardIdx int, sh *shard) {
 	d := sh.dur
 	if d == nil {
@@ -310,36 +320,29 @@ func (s *Service) flushWALLocked(shardIdx int, sh *shard) {
 	if len(entries) == 0 {
 		return
 	}
-	hook := s.onRecord
-	if d.err != nil && hook == nil {
-		return
-	}
 	d.w.Reset()
 	appendWALRecord(&d.w, shardIdx, sh.sealLocked(), entries)
-	s.appendRecordLocked(shardIdx, sh, d.w.Bytes(), hook)
+	s.appendRecordLocked(shardIdx, sh, d.w.Bytes(), s.onRecord)
 }
 
 // appendRecordLocked is the one append step for a sealed record payload,
 // produced here or replicated: it appends the payload to the shard's store
 // and counts it, hands it to hook (when non-nil), and checkpoints when the
 // snapshot cadence is due; sh.mu must be held and sh.dur set. The hook
-// (replication) observes every record, even when the local store has
-// degraded — the cluster is the durability then — and sees it before a
-// checkpoint reuses the encode scratch the payload may alias; it must copy.
+// (replication) sees the record before a checkpoint reuses the encode
+// scratch the payload may alias; it must copy.
 func (s *Service) appendRecordLocked(shardIdx int, sh *shard, payload []byte, hook func(int, []byte)) {
 	d := sh.dur
-	if d.err == nil {
-		if _, err := d.store.Append(payload); err != nil {
-			d.fail(shardIdx, err)
-		} else {
-			d.records++
-			d.sinceSnap++
-		}
+	if _, err := d.store.Append(payload); err != nil {
+		d.fail(shardIdx, err)
+	} else {
+		d.records++
+		d.sinceSnap++
 	}
 	if hook != nil {
 		hook(shardIdx, payload)
 	}
-	if d.err == nil && d.sinceSnap >= d.snapEvery {
+	if d.sinceSnap >= d.snapEvery {
 		s.checkpointLocked(shardIdx, sh)
 	}
 }
@@ -348,7 +351,7 @@ func (s *Service) appendRecordLocked(shardIdx int, sh *shard, payload []byte, ho
 // its WAL; sh.mu must be held.
 func (s *Service) checkpointLocked(shardIdx int, sh *shard) {
 	d := sh.dur
-	if d == nil || d.err != nil {
+	if d == nil || d.err.Load() != nil {
 		return
 	}
 	d.w.Reset()
@@ -400,8 +403,8 @@ func (s *Service) recoverShard(shardIdx int, sh *shard, dcfg *Durability) error 
 		// Boot checkpoint: fold the replayed tail into a fresh snapshot so
 		// torn bytes are physically gone and the next recovery is O(snapshot).
 		s.checkpointLocked(shardIdx, sh)
-		if sh.dur.err != nil {
-			return fmt.Errorf("namesvc: shard %d: boot checkpoint: %w", shardIdx, sh.dur.err)
+		if err := sh.refusal(); err != nil {
+			return fmt.Errorf("namesvc: shard %d: boot checkpoint: %w", shardIdx, err)
 		}
 	}
 	return nil
@@ -476,52 +479,52 @@ func tornNote(torn bool) string {
 // syncShard is the one flush routine: it makes every record the shard
 // appended before the call durable. Under FsyncPerEpoch every append has
 // already synced, so the watermark covers the segment and it returns at
-// once; under FsyncGroup it is the commit gates' wait. The shard lock is
-// held only to see that the shard still logs, and the fsync itself runs
-// outside it (durable.Store.Sync), so the shard keeps taking acquires,
-// releases and epoch closes — and appending the records the *next* flush
-// will cover — while this one is on the disk. A clean segment costs no
-// fsync. A genuine fsync failure degrades the shard (fail-open, see the
-// failure policy above) and is returned.
+// once; under FsyncGroup it is the commit gates' wait. It takes no shard
+// lock: the fsync runs outside it (durable.Store.Sync), so the shard keeps
+// taking acquires, releases and epoch closes — and appending the records
+// the *next* flush will cover — while this one is on the disk. A clean
+// segment costs no fsync. A failed shard returns its sticky failure before
+// the watermark is read, since the append that failed never advanced it;
+// a failed fsync becomes the shard's failure and is returned.
 func (s *Service) syncShard(shardIdx int) error {
+	// sh.dur is fixed once Open returns; its failure and the store's
+	// counters are atomic.
 	sh := s.shards[shardIdx]
-	// sh.dur is fixed once Open returns; the store's counters are atomic.
 	d := sh.dur
-	if d == nil || d.store.Synced() >= d.store.Seq() {
+	if d == nil {
 		return nil
 	}
-	sh.mu.Lock()
-	logging := d.err == nil
-	sh.mu.Unlock()
-	if !logging {
+	if err := sh.refusal(); err != nil {
+		return err
+	}
+	if d.store.Synced() >= d.store.Seq() {
 		return nil
 	}
-	err := d.store.Sync()
-	if err != nil {
-		sh.mu.Lock()
+	if err := d.store.Sync(); err != nil {
 		d.fail(shardIdx, err)
-		sh.mu.Unlock()
+		return sh.refusal()
 	}
-	return err
+	return nil
 }
 
 // SyncWAL makes every record appended so far, on every shard, durable: the
 // follower's apply→sync→acknowledge step, and the clock of an embedder that
-// wants one. Shards with nothing new are skipped; the rest flush
-// concurrently, each on its own sink (see syncShard), so the pass costs one
-// flush time, not one per shard. The caller flushes one of them itself:
-// with every core's worth of threads parked in fsyncs, being woken by a
-// helper goroutine costs a scheduling round the follower's acknowledgement
-// would wait out (measured: more than half of repl3-closed's throughput).
-// It returns the lowest-numbered failing shard's error. Passes are
-// serialized on the pass's scratch — a second caller's records are covered
-// by a pass that starts after it arrived, which is the one it runs itself.
+// wants one. Shards with nothing new are skipped unless they have failed;
+// the rest flush concurrently, each on its own sink (see syncShard), so the
+// pass costs one flush time, not one per shard. The caller flushes one of
+// them itself: with every core's worth of threads parked in fsyncs, being
+// woken by a helper goroutine costs a scheduling round the follower's
+// acknowledgement would wait out (measured: more than half of repl3-closed's
+// throughput). It returns the lowest-numbered failed shard's error. Passes
+// are serialized on the pass's scratch — a second caller's records are
+// covered by a pass that starts after it arrived, which is the one it runs
+// itself.
 func (s *Service) SyncWAL() error {
 	s.walSync.mu.Lock()
 	defer s.walSync.mu.Unlock()
 	dirty := s.walSync.dirty[:0]
 	for i, sh := range s.shards {
-		if d := sh.dur; d != nil && d.store.Seq() > d.store.Synced() {
+		if d := sh.dur; d != nil && (d.store.Seq() > d.store.Synced() || d.err.Load() != nil) {
 			dirty = append(dirty, i)
 		}
 	}
@@ -556,9 +559,8 @@ func (s *Service) SyncWAL() error {
 // call is durable — at once when a flush has already covered them (always,
 // under FsyncPerEpoch), after the flush in flight when that one captured
 // them, otherwise after one more. Delivery gates wait on it per shard, so a
-// shard's grants never wait for another shard's disk. Sync failures degrade
-// the shard (fail-open, see the failure policy above) and are returned for
-// observability.
+// shard's grants never wait for another shard's disk. A failed shard
+// returns its sticky failure (see the failure policy above).
 func (s *Service) SyncShard(shardIdx int) error {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		return fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)
@@ -567,42 +569,36 @@ func (s *Service) SyncShard(shardIdx int) error {
 }
 
 // Checkpoint forces a snapshot + WAL rotation on every shard, returning
-// the first shard's durability error if any shard is degraded. Volatile
+// the first failed shard's durability error, if any. Volatile
 // services return nil. Close checkpoints too: that is how blnamed's SIGTERM
 // drain makes a clean restart recover from a snapshot, not a replay.
 func (s *Service) Checkpoint() error {
 	var first error
 	for i, sh := range s.shards {
 		sh.mu.Lock()
-		if sh.dur != nil {
-			s.flushWALLocked(i, sh) // drain any staged events first
-			s.checkpointLocked(i, sh)
-			if sh.dur.err != nil && first == nil {
-				first = sh.dur.err
-			}
+		s.flushWALLocked(i, sh) // drain any staged events first
+		s.checkpointLocked(i, sh)
+		if err := sh.refusal(); err != nil && first == nil {
+			first = err
 		}
 		sh.mu.Unlock()
 	}
 	return first
 }
 
-// Close checkpoints every durable shard and releases the stores. Safe to
-// call on volatile services (no-op) and more than once. The Service must be
-// quiescent: no concurrent Acquire, Release, or CloseEpoch (a Server must be
-// Closed first).
+// Close checkpoints every durable shard and releases the stores, returning
+// Checkpoint's error. Safe to call on volatile services (no-op) and more
+// than once. The Service must be quiescent: no concurrent Acquire, Release,
+// or CloseEpoch (a Server must be Closed first).
 func (s *Service) Close() error {
 	s.closeOnce.Do(func() {
-		for i, sh := range s.shards {
-			sh.mu.Lock()
+		s.closeErr = s.Checkpoint()
+		for _, sh := range s.shards {
 			if sh.dur != nil {
-				s.flushWALLocked(i, sh)
-				s.checkpointLocked(i, sh)
-				if sh.dur.err != nil && s.closeErr == nil {
-					s.closeErr = sh.dur.err
-				}
+				sh.mu.Lock()
 				sh.dur.store.Close()
+				sh.mu.Unlock()
 			}
-			sh.mu.Unlock()
 		}
 	})
 	return s.closeErr

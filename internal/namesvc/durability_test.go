@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"ballsintoleaves/internal/namesvc/durable"
+	"ballsintoleaves/internal/wire"
 )
 
 // crashTraceConfig is the shared base config of the differential crash
@@ -23,11 +24,20 @@ const crashTraceSnapEvery = 4
 // runCrashTrace drives a deterministic acquire/epoch/release workload.
 // Every outcome — grants, digests, counters — is a pure function of the
 // service config, so a volatile reference run and any number of durable
-// (even crash-injected, thanks to the fail-open policy) runs execute
-// identically. onStep is invoked after every primitive that could seal at
-// most one WAL record per shard, including once for the initial state.
-func runCrashTrace(t *testing.T, svc *Service, onStep func()) {
+// runs execute identically up to a crash. onStep is invoked after every
+// primitive that could seal at most one WAL record per shard, including
+// once for the initial state. Once budget (nil for a run that must not
+// crash) has crashed, the first op refused ends the trace and its error
+// is returned; any other error fails the test.
+func runCrashTrace(t *testing.T, svc *Service, budget *durable.CrashBudget, onStep func()) error {
 	t.Helper()
+	stop := func(err error) error {
+		t.Helper()
+		if budget == nil || !budget.Crashed() {
+			t.Fatal(err)
+		}
+		return err
+	}
 	rng := rand.New(rand.NewSource(0x5eed))
 	var held []Grant
 	client := uint64(0)
@@ -39,14 +49,14 @@ func runCrashTrace(t *testing.T, svc *Service, onStep func()) {
 		for j := 1 + rng.Intn(6); j > 0; j-- {
 			client++
 			if _, err := svc.Acquire(client*2654435761+11, absorb); err != nil {
-				t.Fatal(err)
+				return stop(err)
 			}
 		}
 		onStep()
 		for sh := 0; sh < svc.Shards(); sh++ {
 			grants, err := svc.CloseEpoch(sh)
 			if err != nil {
-				t.Fatal(err)
+				return stop(err)
 			}
 			held = append(held, grants...)
 			onStep()
@@ -58,12 +68,13 @@ func runCrashTrace(t *testing.T, svc *Service, onStep func()) {
 				held[idx] = held[len(held)-1]
 				held = held[:len(held)-1]
 				if err := svc.Release(g.Client, g.Name); err != nil {
-					t.Fatal(err)
+					return stop(err)
 				}
 				onStep()
 			}
 		}
 	}
+	return nil
 }
 
 // shardFingerprint is everything durability promises to preserve about one
@@ -164,7 +175,7 @@ func TestCrashPointRecoveryDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var fps [][]shardFingerprint
-	runCrashTrace(t, ref, func() { fps = append(fps, captureAll(ref)) })
+	runCrashTrace(t, ref, nil, func() { fps = append(fps, captureAll(ref)) })
 
 	// Unlimited durable pass: same trace, measuring the total crash units
 	// and the WAL sequence vector at every step.
@@ -174,7 +185,7 @@ func TestCrashPointRecoveryDifferential(t *testing.T) {
 		t.Fatal(err)
 	}
 	var seqs [][]uint64
-	runCrashTrace(t, svc, func() { seqs = append(seqs, walSeqs(svc)) })
+	runCrashTrace(t, svc, nil, func() { seqs = append(seqs, walSeqs(svc)) })
 	if len(seqs) != len(fps) {
 		t.Fatalf("reference saw %d steps, durable saw %d", len(fps), len(seqs))
 	}
@@ -221,7 +232,7 @@ func TestCrashPointRecoveryDifferential(t *testing.T) {
 				t.Fatalf("unit %d: open: %v", u, err)
 			}
 		} else {
-			runCrashTrace(t, crashed, func() {})
+			runCrashTrace(t, crashed, budget, func() {})
 			// No Close: the machine died. The open segment files simply
 			// stop existing as handles; the sinks retain what was written.
 		}
@@ -388,16 +399,18 @@ func TestOpenRejectsSinkMismatches(t *testing.T) {
 	}
 }
 
-// TestDurableFailOpenDegrade pins the failure policy: when the WAL dies
-// mid-run, the service keeps serving identical grants from memory, counts
-// the degradation, and never propagates the storage error to clients.
-func TestDurableFailOpenDegrade(t *testing.T) {
+// TestDurableFailsClosed pins the failure policy: when the WAL dies
+// mid-run, the first op refused carries the storage error, and so does
+// every later write on the failed shard. Refusals move nothing: the live
+// state is the reference's at the refusal, and Close reports the failure.
+func TestDurableFailsClosed(t *testing.T) {
 	t.Parallel()
 	ref, err := New(crashTraceConfig)
 	if err != nil {
 		t.Fatal(err)
 	}
-	runCrashTrace(t, ref, func() {})
+	var fps [][]shardFingerprint
+	runCrashTrace(t, ref, nil, func() { fps = append(fps, captureAll(ref)) })
 
 	// A budget large enough to survive Open but die mid-trace.
 	budget := durable.NewCrashBudget(500)
@@ -405,18 +418,73 @@ func TestDurableFailOpenDegrade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	runCrashTrace(t, svc, func() {}) // must not t.Fatal anywhere inside
-	if !budget.Crashed() {
-		t.Fatal("budget never exhausted; raise the trace size")
+	steps := 0
+	refused := runCrashTrace(t, svc, budget, func() { steps++ })
+	if !budget.Crashed() || refused == nil {
+		t.Fatalf("budget crashed %v, trace refused %v; shrink the budget", budget.Crashed(), refused)
 	}
-	st := svc.Stats()
-	if st.WALFailures == 0 {
-		t.Fatalf("degraded run reports no WAL failures: %+v", st)
+	if !errors.Is(refused, durable.ErrCrashed) {
+		t.Fatalf("first refused op: %v, want it to wrap %v", refused, durable.ErrCrashed)
 	}
-	if got, want := captureAll(svc), captureAll(ref); !reflect.DeepEqual(got, want) {
-		t.Fatalf("degraded service diverged from reference:\n got %+v\nwant %+v", got, want)
+	// A refused op moved nothing — unless it was an epoch whose own record
+	// failed: that one ran in memory first, one reference step on.
+	got, want := captureAll(svc), fps[steps-1]
+	if !reflect.DeepEqual(got, want) {
+		want = fps[steps]
 	}
-	if err := svc.Close(); err == nil {
-		t.Fatal("Close on a degraded service hid the durability failure")
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("state at the refusal diverged from reference steps %d and %d:\n got %+v\nwant %+v",
+			steps-1, steps, got, want)
+	}
+	failed := -1
+	for i, sh := range svc.shards {
+		if sh.refusal() != nil {
+			failed = i
+		}
+	}
+	if failed < 0 {
+		t.Fatal("no shard holds the failure")
+	}
+	if st := svc.Stats(); st.WALFailures == 0 {
+		t.Fatalf("failed run reports no WAL failures: %+v", st)
+	}
+	client := clientOnShard(svc, failed, 1)
+	name := failed*crashTraceConfig.ShardCap + 1
+	writes := map[string]func() error{
+		"Acquire": func() error { _, err := svc.Acquire(client, nil); return err },
+		"AcquireBatch": func() error {
+			_, err := svc.AcquireBatch(failed, []AcquireOp{{Client: client}}, nil)
+			return err
+		},
+		"Release": func() error { return svc.Release(client, name) },
+		"ReleaseBatch": func() error {
+			_, err := svc.ReleaseBatch(failed, []ReleaseOp{{Client: client, Name: name}}, nil)
+			return err
+		},
+		"ApplyReplicated": func() error {
+			var w wire.Writer
+			appendWALRecord(&w, failed, walSeal{}, []Entry{{Op: OpAssign, Client: client, Name: 1}})
+			_, err := svc.ApplyReplicated(failed, w.Bytes())
+			return err
+		},
+		"RestoreReplicaShard": func() error {
+			return svc.RestoreReplicaShard(failed, svc.ShardSnapshotPayload(failed))
+		},
+	}
+	for op, write := range writes {
+		if err := write(); !errors.Is(err, durable.ErrCrashed) {
+			t.Errorf("%s on failed shard %d: %v, want a refusal wrapping %v", op, failed, err, durable.ErrCrashed)
+		}
+	}
+	// Nothing is queued on the failed shard, so an epoch has nothing to
+	// write (TestFlushRacingCheckpoint refuses one that has).
+	if grants, err := svc.CloseEpoch(failed); len(grants) > 0 || err != nil {
+		t.Errorf("empty epoch on failed shard %d: %d grants, %v", failed, len(grants), err)
+	}
+	if got := captureAll(svc); !reflect.DeepEqual(got, want) {
+		t.Fatalf("refused writes moved the state:\n got %+v\nwant %+v", got, want)
+	}
+	if err := svc.Close(); !errors.Is(err, durable.ErrCrashed) {
+		t.Fatalf("Close on a failed service: %v, want the durability failure", err)
 	}
 }

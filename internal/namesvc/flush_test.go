@@ -3,7 +3,9 @@ package namesvc
 import (
 	"errors"
 	"fmt"
+	"net"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -199,11 +201,10 @@ func TestFsyncRunsOutsideShardLock(t *testing.T) {
 
 // TestFlushRacingCheckpoint hammers both shards with group-commit flushes,
 // per shard and all at once, while the shards rotate their WAL underneath:
-// no flush may lose the race in a way that degrades a shard, overlaps
-// another Sync on the same sink, or returns before the caller's records are
+// no flush may lose the race in a way that fails a shard, overlaps another
+// Sync on the same sink, or returns before the caller's records are
 // covered, and what a reopen recovers must be the live state. Then a
-// genuine fsync error on one shard must still degrade that shard, and only
-// it.
+// genuine fsync error on one shard must fail that shard, and only it.
 func TestFlushRacingCheckpoint(t *testing.T) {
 	t.Parallel()
 	group := Durability{Fsync: FsyncGroup, SnapshotEvery: 5}
@@ -275,11 +276,15 @@ func TestFlushRacingCheckpoint(t *testing.T) {
 		t.Fatalf("reopened state diverged from the live one:\n got %+v\nwant %+v", got, live)
 	}
 
-	// A genuine fsync error still degrades exactly the shard it hit.
+	// A genuine fsync error fails exactly the shard it hit.
 	boom := errors.New("EIO")
 	spies[1].failWith.Store(&boom)
 	churnShard(t, svc, 0, 2000)
 	churnShard(t, svc, 1, 2000)
+	queued := clientOnShard(svc, 1, 3000)
+	if _, err := svc.AcquireBatch(1, []AcquireOp{{Client: queued}}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := svc.SyncWAL(); !errors.Is(err, boom) {
 		t.Fatalf("SyncWAL over a failing disk: %v, want %v", err, boom)
 	}
@@ -289,13 +294,30 @@ func TestFlushRacingCheckpoint(t *testing.T) {
 	if st := svc.Stats(); st.WALFailures != 1 {
 		t.Fatalf("%d WAL failures after one failed fsync, want 1", st.WALFailures)
 	}
-	if err0, err1 := svc.shards[0].dur.err, svc.shards[1].dur.err; err0 != nil || !errors.Is(err1, boom) {
-		t.Fatalf("degraded: shard 0 %v, shard 1 %v; want only shard 1", err0, err1)
+	if err0, err1 := svc.shards[0].refusal(), svc.shards[1].refusal(); err0 != nil || !errors.Is(err1, boom) {
+		t.Fatalf("failed: shard 0 %v, shard 1 %v; want only shard 1", err0, err1)
 	}
-	// Degraded is sticky and quiet: later flushes skip the shard.
-	churnShard(t, svc, 1, 2001)
-	if err := svc.SyncWAL(); err != nil {
-		t.Fatalf("SyncWAL after the degrade: %v", err)
+	// The failure is sticky and loud: the shard refuses writes, and every
+	// later flush returns it again, while shard 0 stays healthy.
+	if _, err := svc.CloseEpoch(1); !errors.Is(err, boom) || svc.Pending(1) != 0 {
+		t.Fatalf("epoch on the failed shard: %v with %d queued, want a refusal wrapping %v and an empty queue",
+			err, svc.Pending(1), boom)
+	}
+	if grants, err := svc.CloseEpoch(1); len(grants) > 0 || err != nil {
+		t.Fatalf("epoch on the failed, empty shard: %d grants, %v", len(grants), err)
+	}
+	if err := churn(svc, 1, 2001); !errors.Is(err, boom) {
+		t.Fatalf("churn on the failed shard: %v, want a refusal wrapping %v", err, boom)
+	}
+	if err := svc.SyncWAL(); !errors.Is(err, boom) {
+		t.Fatalf("SyncWAL after the failure: %v, want %v", err, boom)
+	}
+	if err := svc.SyncShard(1); !errors.Is(err, boom) {
+		t.Fatalf("SyncShard(1) after the failure: %v, want %v", err, boom)
+	}
+	churnShard(t, svc, 0, 2001)
+	if err := svc.SyncShard(0); err != nil {
+		t.Fatalf("healthy shard 0 after shard 1 failed: %v", err)
 	}
 	if st := svc.Stats(); st.WALFailures != 1 {
 		t.Fatalf("%d WAL failures, want the one", st.WALFailures)
@@ -346,5 +368,113 @@ func TestServerPicksItsServiceGate(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("no grant after the flush returned")
+	}
+}
+
+// TestServerFailsClosed: a server given no Gate over a durable service —
+// group commit or per-epoch fsync — never delivers a grant its shard could
+// not log. Once shard 1's segment fsync fails, the grant it was logging
+// never arrives, later acquires and releases on shard 1 are rejected with
+// the disk's error, shard 0 keeps serving, and what a power cut leaves on
+// the disks holds every grant the client was given.
+func TestServerFailsClosed(t *testing.T) {
+	t.Parallel()
+	for _, mode := range []FsyncMode{FsyncGroup, FsyncPerEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			d := Durability{Fsync: mode}
+			svc, spies := openSpied(t, d)
+			srv, err := NewServer(ServerConfig{Service: svc, Logf: t.Logf})
+			if err != nil {
+				t.Fatal(err)
+			}
+			ln, err := net.Listen("tcp", "127.0.0.1:0")
+			if err != nil {
+				t.Fatal(err)
+			}
+			go srv.Serve(ln)
+			c, err := Dial(ln.Addr().String(), ClientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			var acked []Grant
+			acquire := func(shard, n int) (Grant, error) {
+				client := clientOnShard(svc, shard, n)
+				g, err := c.AcquireSync(client)
+				g.Client = client // grant frames do not echo it
+				return g, err
+			}
+			for n := 1; n <= 3; n++ {
+				for shard := 0; shard < 2; shard++ {
+					g, err := acquire(shard, n)
+					if err != nil {
+						t.Fatal(err)
+					}
+					acked = append(acked, g)
+				}
+			}
+
+			boom := errors.New("EIO")
+			spies[1].failWith.Store(&boom)
+			late := make(chan string, 1)
+			if err := c.Acquire(clientOnShard(svc, 1, 4), func(g Grant, err error) {
+				late <- fmt.Sprintf("grant %+v, err %v", g, err)
+			}); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "shard 1's fsync to fail", func() bool { return svc.Stats().WALFailures == 1 })
+			select {
+			case got := <-late:
+				t.Fatalf("the acquire shard 1 failed to log was answered: %s", got)
+			case <-time.After(100 * time.Millisecond):
+			}
+
+			// A follower acknowledges after SyncWAL: it must report the
+			// failure even when the failed write never advanced the
+			// segment past its durable watermark (per-epoch fsync).
+			if err := svc.SyncWAL(); !errors.Is(err, boom) {
+				t.Fatalf("SyncWAL after shard 1 failed: %v, want %v", err, boom)
+			}
+			g, err := acquire(0, 4)
+			if err != nil {
+				t.Fatalf("shard 0 after shard 1 failed: %v", err)
+			}
+			acked = append(acked, g)
+			refused := func(op string, err error) {
+				t.Helper()
+				var rej *RejectError
+				if !errors.As(err, &rej) || rej.Code != RejectInternal || !strings.Contains(rej.Msg, boom.Error()) {
+					t.Fatalf("%s on failed shard 1: %v, want RejectInternal carrying %v", op, err, boom)
+				}
+			}
+			_, err = acquire(1, 5)
+			refused("acquire", err)
+			refused("release", c.ReleaseSync(acked[1].Name))
+
+			// Cut the power while the server runs: a clean close would
+			// release every name the connection holds. Stats takes each
+			// shard lock, ordering the image after every write.
+			svc.Stats()
+			image := make([]*spySink, len(spies))
+			for i, spy := range spies {
+				image[i] = &spySink{Sink: spy.Sink.(*durable.MemSink).Clone()}
+			}
+			reopened, _ := openSpied(t, d, image...)
+			for _, g := range acked {
+				if err := reopened.Reclaim(g.Client, g.Name); err != nil {
+					t.Errorf("acknowledged grant %+v lost across a power cut: %v", g, err)
+				}
+			}
+
+			c.Close()
+			ln.Close()
+			srv.Close()
+			if err := svc.Close(); !errors.Is(err, boom) {
+				t.Fatalf("Close: %v, want %v", err, boom)
+			}
+		})
 	}
 }

@@ -314,10 +314,10 @@ func (s *Server) submitBurst(c *svcConn, in *ingest) {
 			errs, err := s.svc.ReleaseBatch(shard, ops, in.errs[:0])
 			in.errs = errs[:0]
 			if err != nil {
-				// Unreachable (the shard index is ours), but fail closed:
-				// the service processed nothing, so the connection still
-				// holds every name in the bucket — restore them and reject
-				// each request, mirroring the acquire path below.
+				// The shard has failed (the failure policy in
+				// durability.go): no release in the bucket is on its disk,
+				// so the connection still holds every name — restore them
+				// and reject each request, mirroring the acquire path below.
 				for _, op := range ops {
 					s.bound.bind(c, shard, op.Name, op.Client)
 				}
@@ -382,8 +382,8 @@ func (s *Server) submitBurst(c *svcConn, in *ingest) {
 			ids, err := s.svc.AcquireBatch(shard, in.acq[shard], in.ids[:0])
 			in.ids = ids[:0]
 			if err != nil {
-				// Unreachable (clients validated at decode, shards routed
-				// here), but fail closed: unregister and reject the bucket.
+				// The shard has failed (the failure policy in
+				// durability.go): unregister and reject the bucket.
 				s.cfg.Logf("%v: acquire batch on shard %d: %v", c.conn.RemoteAddr(), shard, err)
 				c.mu.Lock()
 				for _, op := range in.acq[shard] {

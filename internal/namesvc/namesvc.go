@@ -341,7 +341,8 @@ func (sh *shard) enqueueLocked(client uint64, sink GrantNotifier) uint64 {
 // notify, when non-nil, follows the GrantNotifier contract: invoked with
 // the grant during CloseEpoch under the shard lock; returning false makes
 // the service absorb the grant as a crash. A nil notify accepts every
-// grant; callers then collect grants from CloseEpoch's return value.
+// grant; callers then collect grants from CloseEpoch's return value. A
+// failed shard (see the failure policy in durability.go) refuses it.
 func (s *Service) Acquire(client uint64, notify func(Grant) bool) (uint64, error) {
 	if client == 0 {
 		return 0, fmt.Errorf("namesvc: client ID must be non-zero")
@@ -351,6 +352,9 @@ func (s *Service) Acquire(client uint64, notify func(Grant) bool) (uint64, error
 		sink = notifyFunc(notify)
 	}
 	sh := s.shards[s.Shard(client)]
+	if err := sh.refusal(); err != nil {
+		return 0, err
+	}
 	sh.mu.Lock()
 	id := sh.enqueueLocked(client, sink)
 	sh.mu.Unlock()
@@ -375,7 +379,7 @@ type AcquireOp struct {
 // op order; the per-shard ID sequence, the queue order, and therefore every
 // grant and digest are identical to submitting the same ops one at a time
 // in the same per-shard order. It errors — enqueueing nothing — if any op
-// has a zero client or routes to a different shard.
+// has a zero client or routes to a different shard, or the shard has failed.
 func (s *Service) AcquireBatch(shardIdx int, ops []AcquireOp, ids []uint64) ([]uint64, error) {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		return ids, fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)
@@ -390,6 +394,9 @@ func (s *Service) AcquireBatch(shardIdx int, ops []AcquireOp, ids []uint64) ([]u
 		}
 	}
 	sh := s.shards[shardIdx]
+	if err := sh.refusal(); err != nil {
+		return ids, err
+	}
 	sh.mu.Lock()
 	for _, op := range ops {
 		ids = append(ids, sh.enqueueLocked(op.Client, op.Notify))
@@ -428,7 +435,8 @@ func (s *Service) Cancel(client, reqID uint64) bool {
 }
 
 // Release returns a held global name to its shard's free pool. It errors if
-// the name is outside the namespace or not currently held by the client.
+// the name is outside the namespace or not currently held by the client,
+// or the shard has failed (see the failure policy in durability.go).
 func (s *Service) Release(client uint64, name int) error {
 	shardIdx, err := s.ShardOfName(name)
 	if err != nil {
@@ -438,6 +446,9 @@ func (s *Service) Release(client uint64, name int) error {
 	sh := s.shards[shardIdx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if err := sh.refusal(); err != nil {
+		return err
+	}
 	err = sh.led.release(sh.led.epoch, client, local)
 	if err == nil {
 		s.flushWALLocked(shardIdx, sh)
@@ -460,8 +471,8 @@ type ReleaseOp struct {
 // nil) and returned, nil for success, in op order; an op that fails (name
 // outside the shard, not held, held by someone else) does not affect the
 // others. The ledger events are identical to releasing the same names one
-// at a time in the same per-shard order. The batch-level error reports only
-// an out-of-range shard index.
+// at a time in the same per-shard order. The batch-level error reports an
+// out-of-range shard index or a failed shard, which releases nothing.
 func (s *Service) ReleaseBatch(shardIdx int, ops []ReleaseOp, errs []error) ([]error, error) {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		return errs, fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)
@@ -469,6 +480,10 @@ func (s *Service) ReleaseBatch(shardIdx int, ops []ReleaseOp, errs []error) ([]e
 	sh := s.shards[shardIdx]
 	lo, hi := shardIdx*s.cfg.ShardCap, (shardIdx+1)*s.cfg.ShardCap
 	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	if err := sh.refusal(); err != nil {
+		return errs, err
+	}
 	for _, op := range ops {
 		if op.Name <= lo || op.Name > hi {
 			errs = append(errs, fmt.Errorf("namesvc: name %d outside shard %d's %d..%d",
@@ -478,7 +493,6 @@ func (s *Service) ReleaseBatch(shardIdx int, ops []ReleaseOp, errs []error) ([]e
 		errs = append(errs, sh.led.release(sh.led.epoch, op.Client, op.Name-lo))
 	}
 	s.flushWALLocked(shardIdx, sh)
-	sh.mu.Unlock()
 	return errs, nil
 }
 
@@ -532,7 +546,10 @@ func (s *Service) EpochRunnable(shardIdx int) bool {
 // assigns each request the rank-th smallest free name. It returns the grants
 // that were accepted (see Acquire's notify contract); grants whose recipient
 // vanished are absorbed as crashes. With nothing to do — no queued requests,
-// or no free names — it returns nil without advancing the epoch.
+// or no free names — it returns nil without advancing the epoch. A failed
+// shard refuses to run one and drops its queue; an epoch whose record
+// fails to log returns no grants, only the error, and a commit gate
+// discards what it notified.
 //
 // The returned slice is the shard's reusable grant buffer: it is valid
 // until the next CloseEpoch on the same shard, and callers that retain
@@ -570,6 +587,13 @@ func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 	limit := min(s.cfg.MaxBatch, sh.led.freeCount(), len(sh.pending))
 	if limit == 0 {
 		return nil, nil
+	}
+	if err := sh.refusal(); err != nil {
+		// Nothing queued here can be granted any more: drop it all, so the
+		// next drain finds no work instead of this error.
+		sh.queued = 0
+		sh.recycleHusksLocked()
+		return nil, err
 	}
 	batch := sh.pending[:limit]
 
@@ -628,9 +652,11 @@ func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 	sh.queued -= limit
 	sh.pending = append(sh.pending[:0], sh.pending[limit:]...)
 	// Seal the epoch's events (assigns plus absorbed releases) into one WAL
-	// record. A WAL failure degrades the shard, never the epoch: the grants
-	// stand (see the failure policy in durability.go).
+	// record.
 	s.flushWALLocked(shardIdx, sh)
+	if err := sh.refusal(); err != nil {
+		return nil, err
+	}
 	return grants, nil
 }
 

@@ -321,7 +321,8 @@ func (n *Node) AdmitWrites() (bool, string) {
 // leader's own copy is made durable first (the shard's group-commit flush
 // under FsyncGroup; at once when every append already syncs), so
 // "committed" always means a quorum of durable copies including this one.
-// An error means the node was deposed with the records uncommitted.
+// An error means the node was deposed with the records uncommitted, or the
+// shard's own copy failed (the failure policy in namesvc's durability.go).
 func (n *Node) WaitCommitted(shard int) error {
 	n.mu.Lock()
 	l := n.ldr
@@ -333,7 +334,9 @@ func (n *Node) WaitCommitted(shard int) error {
 	n.mu.Unlock()
 	// A record takes its index under the shard lock, after its append, so
 	// a flush that starts now covers every record up to target.
-	n.svc.SyncShard(shard)
+	if err := n.svc.SyncShard(shard); err != nil {
+		return err
+	}
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	for {
@@ -662,7 +665,8 @@ func (n *Node) serveVote(p *transport.Peer, body []byte) {
 // buffered on the link is processed before the fsync-and-acknowledge
 // step, so a burst of records (all shards of one epoch tick) costs one
 // flush time — the dirty shards' segments fsync concurrently — and one ack
-// frame, not one of each per record.
+// frame, not one of each per record. A failed flush is a nack: what it
+// covered is on no disk here, so it must not count toward a quorum.
 func (n *Node) serveStream(p *transport.Peer, hello []byte) {
 	term, leaderID, err := decodeHello(hello)
 	if err != nil {
@@ -693,9 +697,21 @@ func (n *Node) serveStream(p *transport.Peer, hello []byte) {
 	idle := 2 * n.cfg.ElectionTimeout
 	var ackIdx uint64
 	dirty := false // applied records not yet synced and acknowledged
+	nack := func() {
+		n.mu.Lock()
+		cur := n.term
+		n.mu.Unlock()
+		w.Reset()
+		appendNack(&w, cur)
+		p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout))
+	}
 	for {
 		if dirty && !p.Pending() {
-			n.svc.SyncWAL()
+			if err := n.svc.SyncWAL(); err != nil {
+				n.logf("repl: syncing applied records: %v", err)
+				nack()
+				return
+			}
 			w.Reset()
 			appendAck(&w, term, ackIdx)
 			if p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout)) != nil {
@@ -709,14 +725,6 @@ func (n *Node) serveStream(p *transport.Peer, hello []byte) {
 		}
 		if len(body) == 0 {
 			return
-		}
-		nack := func() {
-			n.mu.Lock()
-			cur := n.term
-			n.mu.Unlock()
-			w.Reset()
-			appendNack(&w, cur)
-			p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout))
 		}
 		switch body[0] {
 		case kSnap:

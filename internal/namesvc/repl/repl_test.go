@@ -2,12 +2,15 @@ package repl
 
 import (
 	"encoding/hex"
+	"errors"
 	"net"
 	"os"
 	"path/filepath"
 	"reflect"
 	"slices"
+	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -99,6 +102,18 @@ type cluster struct {
 
 func startCluster(t *testing.T, size int, opts ...func(*Config)) *cluster {
 	t.Helper()
+	sinks := make([][]durable.Sink, size)
+	for i := range sinks {
+		sinks[i] = memSinks()
+	}
+	return startClusterOver(t, sinks, opts...)
+}
+
+// startClusterOver starts one member per entry of sinks, each over its own
+// shard sinks.
+func startClusterOver(t *testing.T, sinks [][]durable.Sink, opts ...func(*Config)) *cluster {
+	t.Helper()
+	size := len(sinks)
 	c := &cluster{t: t, logf: testLogf(t)}
 	lns := make([]net.Listener, size)
 	for i := 0; i < size; i++ {
@@ -113,8 +128,7 @@ func startCluster(t *testing.T, size int, opts ...func(*Config)) *cluster {
 		})
 	}
 	for i := 0; i < size; i++ {
-		sinks := memSinks()
-		svc := openReplica(t, sinks)
+		svc := openReplica(t, sinks[i])
 		cfg := Config{
 			NodeID:          i,
 			Peers:           c.peers,
@@ -131,7 +145,7 @@ func startCluster(t *testing.T, size int, opts ...func(*Config)) *cluster {
 		if err != nil {
 			t.Fatalf("starting node %d: %v", i, err)
 		}
-		c.sinks = append(c.sinks, sinks)
+		c.sinks = append(c.sinks, sinks[i])
 		c.svcs = append(c.svcs, svc)
 		c.nodes = append(c.nodes, node)
 	}
@@ -549,6 +563,130 @@ func TestFollowerCatchUpAfterRestart(t *testing.T) {
 	closeEpochs(t, c, 0)
 	c.waitConverged(0)
 	c.assertReplicasMatch()
+}
+
+// syncFailSink fails every WAL segment fsync after the first ok ones,
+// calling onFail once, on the flushing goroutine, as the first one fails.
+type syncFailSink struct {
+	durable.Sink
+	ok     int64
+	onFail func()
+	syncs  atomic.Int64
+	once   sync.Once
+}
+
+var errDiskFailed = errors.New("EIO")
+
+func (s *syncFailSink) Create(name string) (durable.File, error) {
+	f, err := s.Sink.Create(name)
+	if err != nil || !strings.HasPrefix(name, "wal-") {
+		return f, err
+	}
+	return &syncFailFile{File: f, sink: s}, nil
+}
+
+type syncFailFile struct {
+	durable.File
+	sink *syncFailSink
+}
+
+func (f *syncFailFile) Sync() error {
+	s := f.sink
+	if s.syncs.Add(1) <= s.ok {
+		return f.File.Sync()
+	}
+	s.once.Do(s.onFail)
+	return errDiskFailed
+}
+
+// TestFollowerFailsClosed: in a two-node cluster, whose quorum needs the
+// follower, a follower whose WAL fsync fails nacks instead of
+// acknowledging. The leader's commit index never covers a record produced
+// after the failure, and no grant for the acquire the failed fsync was
+// logging, or for any later one, reaches the client.
+func TestFollowerFailsClosed(t *testing.T) {
+	var leader atomic.Pointer[Node]
+	var failedAt atomic.Uint64 // the leader's newest index when the fsync failed
+	failed := make(chan struct{})
+	bad := &syncFailSink{Sink: durable.NewMemSink(), ok: 3, onFail: func() {
+		n := leader.Load()
+		n.mu.Lock()
+		if l := n.ldr; l != nil {
+			failedAt.Store(l.nextIdx - 1)
+		}
+		n.mu.Unlock()
+		close(failed)
+	}}
+	c := startClusterOver(t, [][]durable.Sink{memSinks(), {bad, durable.NewMemSink()}})
+	leader.Store(c.nodes[0])
+	srv, err := namesvc.NewServer(namesvc.ServerConfig{Service: c.svcs[0], Gate: c.nodes[0], Logf: c.logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.nodes[0].SetServer(srv)
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() { ln.Close(); srv.Close() })
+	if !c.nodes[0].Campaign() {
+		t.Fatal("node 0 failed to take leadership")
+	}
+	c.nodes[0].mu.Lock()
+	lead := c.nodes[0].ldr
+	c.nodes[0].mu.Unlock()
+	cl, err := namesvc.Dial(ln.Addr().String(), namesvc.ClientConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer cl.Close()
+
+	// Acquire on shard 0, one at a time, until the follower's fsync fails.
+	svc := c.svcs[0]
+	granted := make(chan uint64, 64)
+	acquire := func(n int) {
+		t.Helper()
+		client := clientOnShard(svc, 0, n)
+		if err := cl.Acquire(client, func(_ namesvc.Grant, err error) {
+			if err == nil {
+				granted <- client
+			}
+		}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cl.Flush(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	n := 1
+	for ; ; n++ {
+		acquire(n)
+		select {
+		case <-granted:
+			continue
+		case <-failed:
+		case <-time.After(10 * time.Second):
+			t.Fatalf("acquire %d neither granted nor failed the follower's fsync", n)
+		}
+		break
+	}
+	// Keep producing: the follower refuses these, so nothing can commit.
+	for later := n + 1; later <= n+8; later++ {
+		acquire(later)
+	}
+	select {
+	case client := <-granted:
+		t.Fatalf("client %d granted after the follower's fsync failed (acquire %d was logging)",
+			client, clientOnShard(svc, 0, n))
+	case <-time.After(500 * time.Millisecond):
+	}
+	c.nodes[0].mu.Lock()
+	commit, produced := lead.commit, lead.nextIdx-1
+	c.nodes[0].mu.Unlock()
+	if at := failedAt.Load(); commit > at {
+		t.Fatalf("commit index %d covers records produced after the failure at %d (newest %d)", commit, at, produced)
+	}
 }
 
 // TestStaleCandidateLosesElection: a follower missing quorum-committed

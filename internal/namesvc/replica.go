@@ -67,9 +67,10 @@ func (s *Service) ShardSnapshotPayload(shardIdx int) []byte {
 // record the shard already covers (positions at or below the current one
 // — normal after a snapshot overshoots the stream), (true, nil) after
 // applying and re-proving the seal, and an error for a position gap,
-// corrupt payload, or seal divergence. An error means this replica needs
-// a snapshot resync; the shard may hold partially applied state until
-// RestoreReplicaShard overwrites it.
+// corrupt payload, seal divergence, or a failed shard (one that refused the
+// record or failed to log it). After an error other than a failure the
+// replica needs a snapshot resync; the shard may hold partially applied
+// state until RestoreReplicaShard overwrites it.
 //
 // The record is also appended to the shard's own durable store, so a
 // replica's WAL chain is the byte-for-byte record stream it acknowledged
@@ -89,6 +90,9 @@ func (s *Service) ApplyReplicated(shardIdx int, payload []byte) (bool, error) {
 	sh := s.shards[shardIdx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if err := sh.refusal(); err != nil {
+		return false, err
+	}
 	cur := sh.led.assigns + sh.led.releases
 	if pos <= cur {
 		return false, nil
@@ -114,12 +118,12 @@ func (s *Service) ApplyReplicated(shardIdx int, payload []byte) (bool, error) {
 	if sh.dur != nil {
 		s.appendRecordLocked(shardIdx, sh, payload, nil)
 	}
-	return true, nil
+	return true, sh.refusal()
 }
 
-// recycleHusksLocked empties a queue that holds nothing but cancelled
-// request husks (sh.queued == 0), returning the structs to the pool; sh.mu
-// must be held.
+// recycleHusksLocked empties a queue that holds nothing live (sh.queued ==
+// 0: cancelled husks, or a failed shard's dropped requests), returning the
+// structs to the pool; sh.mu must be held.
 func (sh *shard) recycleHusksLocked() {
 	for _, r := range sh.pending {
 		r.sink = nil
@@ -133,7 +137,8 @@ func (sh *shard) recycleHusksLocked() {
 // replica. The shard must have no queued requests (on a deposed leader,
 // disconnect all clients first so teardown cancels them). The local
 // durable chain is checkpointed onto the snapshot, physically pruning any
-// divergent tail, so a restart recovers the restored state.
+// divergent tail, so a restart recovers the restored state. A failed shard
+// refuses the restore, and one whose checkpoint fails returns the failure.
 func (s *Service) RestoreReplicaShard(shardIdx int, payload []byte) error {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {
 		return fmt.Errorf("namesvc: shard %d outside 0..%d", shardIdx, len(s.shards)-1)
@@ -141,6 +146,9 @@ func (s *Service) RestoreReplicaShard(shardIdx int, payload []byte) error {
 	sh := s.shards[shardIdx]
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
+	if err := sh.refusal(); err != nil {
+		return err
+	}
 	if sh.queued > 0 {
 		return fmt.Errorf("namesvc: shard %d: %d requests queued during replica restore", shardIdx, sh.queued)
 	}
@@ -148,7 +156,7 @@ func (s *Service) RestoreReplicaShard(shardIdx int, payload []byte) error {
 		return fmt.Errorf("namesvc: shard %d: replica restore: %w", shardIdx, err)
 	}
 	sh.recycleHusksLocked()
-	if d := sh.dur; d != nil && d.err == nil {
+	if d := sh.dur; d != nil {
 		if err := d.store.Checkpoint(payload); err != nil {
 			d.fail(shardIdx, err)
 		} else {
@@ -156,5 +164,5 @@ func (s *Service) RestoreReplicaShard(shardIdx int, payload []byte) error {
 			d.snapshots++
 		}
 	}
-	return nil
+	return sh.refusal()
 }

@@ -41,7 +41,7 @@ func TestApplyReplicatedProvesLikeRecovery(t *testing.T) {
 	leader.SetRecordHook(func(shard int, payload []byte) {
 		recs = append(recs, sealedRecord{shard, append([]byte(nil), payload...)})
 	})
-	runCrashTrace(t, leader, func() {})
+	runCrashTrace(t, leader, nil, func() {})
 	if len(recs) < 8 {
 		t.Fatalf("leader sealed only %d records", len(recs))
 	}

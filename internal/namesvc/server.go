@@ -54,18 +54,19 @@ type ReplGate interface {
 
 // groupGate adapts Service.SyncShard to the CommitGate seam: writes are
 // always admitted, and delivery waits for a flush of the shard's own WAL
-// segment. Sync failures degrade the shard fail-open (durability.go), so
-// delivery proceeds even then.
+// segment. A failed shard's wait returns its failure, so its grants are
+// discarded (the failure policy in durability.go).
 type groupGate struct{ svc *Service }
 
 func (g groupGate) AdmitWrites() (bool, string)   { return true, "" }
-func (g groupGate) WaitCommitted(shard int) error { g.svc.SyncShard(shard); return nil }
+func (g groupGate) WaitCommitted(shard int) error { return g.svc.SyncShard(shard) }
 
-// GroupGate returns the commit gate a standalone server over an FsyncGroup
+// GroupGate returns the commit gate a standalone server over a durable
 // service uses (NewServer picks it when ServerConfig.Gate is nil): a
 // shard's grants are delivered only after a flush covers their records,
 // every epoch closed during one flush sharing the next, and different
-// shards' flushes overlapping. Exported for callers that decorate it.
+// shards' flushes overlapping. Under FsyncPerEpoch every append has synced,
+// so the wait returns at once. Exported for callers that decorate it.
 func GroupGate(svc *Service) CommitGate { return groupGate{svc} }
 
 // ServerConfig parameterizes a Server.
@@ -74,7 +75,7 @@ type ServerConfig struct {
 	Service *Service
 	// Gate, when non-nil, is the external commit rule (see CommitGate):
 	// replication quorum or group-commit fsync. Nil means the service's
-	// own: GroupGate when it uses FsyncGroup, otherwise no gating.
+	// own: GroupGate when it is durable, otherwise no gating.
 	Gate CommitGate
 	// MaxOutstanding caps one connection's in-flight acquires; beyond it
 	// acquires are rejected with RejectBusy. Zero means 4096.
@@ -111,8 +112,9 @@ func (cfg *ServerConfig) normalize() error {
 	if cfg.Service == nil {
 		return fmt.Errorf("namesvc: ServerConfig.Service is required")
 	}
-	if d := cfg.Service.cfg.Durable; cfg.Gate == nil && d != nil && d.Fsync == FsyncGroup {
-		// Appends do not sync: a grant must wait for the flush covering it.
+	if cfg.Gate == nil && cfg.Service.cfg.Durable != nil {
+		// A grant waits for the flush covering its record, and is discarded
+		// if the shard has failed.
 		cfg.Gate = groupGate{cfg.Service}
 	}
 	if cfg.MaxOutstanding <= 0 {

@@ -269,42 +269,24 @@ func (s *Session) Stats(cb func(Stats, error)) error {
 
 // AcquireSync is Acquire + Flush + wait.
 func (s *Session) AcquireSync(client uint64) (Grant, error) {
-	type res struct {
-		g   Grant
-		err error
-	}
-	ch := make(chan res, 1)
-	if err := s.Acquire(client, func(g Grant, err error) { ch <- res{g, err} }); err != nil {
-		return Grant{}, err
-	}
-	s.Flush()
-	r := <-ch
-	return r.g, r.err
+	return await(func(done func(Grant, error)) error { return s.Acquire(client, done) }, s.push)
 }
 
 // ReleaseSync is Release + Flush + wait.
 func (s *Session) ReleaseSync(name int) error {
-	ch := make(chan error, 1)
-	if err := s.Release(name, func(err error) { ch <- err }); err != nil {
-		return err
-	}
-	s.Flush()
-	return <-ch
+	_, err := await(func(done func(struct{}, error)) error { return s.Release(name, acked(done)) }, s.push)
+	return err
 }
 
 // StatsSync is Stats + Flush + wait.
-func (s *Session) StatsSync() (Stats, error) {
-	type res struct {
-		st  Stats
-		err error
-	}
-	ch := make(chan res, 1)
-	if err := s.Stats(func(st Stats, err error) { ch <- res{st, err} }); err != nil {
-		return Stats{}, err
-	}
+func (s *Session) StatsSync() (Stats, error) { return await(s.Stats, s.push) }
+
+// push is Flush for the *Sync wrappers, which wait past its error: an op
+// on a session requeues when its connection fails, and its callback
+// reports the outcome.
+func (s *Session) push() error {
 	s.Flush()
-	r := <-ch
-	return r.st, r.err
+	return nil
 }
 
 // Flush pushes buffered frames on the current connection, if any.

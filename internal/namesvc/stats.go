@@ -25,9 +25,8 @@ type Stats struct {
 	// the fingerprint a restarted instance must reproduce.
 	Digests []uint64
 	// WALRecords and WALSnapshots count durability artifacts written;
-	// WALFailures counts failed durability operations (a non-zero value
-	// means at least one shard has degraded to volatile — see the failure
-	// policy in durability.go). All zero on volatile services.
+	// WALFailures counts failed shards, which refuse writes (see the
+	// failure policy in durability.go). All zero on volatile services.
 	WALRecords   uint64
 	WALSnapshots uint64
 	WALFailures  uint64
@@ -66,7 +65,9 @@ func (s *Service) Stats() Stats {
 		if d := sh.dur; d != nil {
 			st.WALRecords += d.records
 			st.WALSnapshots += d.snapshots
-			st.WALFailures += d.failures
+			if d.err.Load() != nil {
+				st.WALFailures++
+			}
 		}
 		sh.mu.Unlock()
 	}
