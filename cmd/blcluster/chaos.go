@@ -205,26 +205,12 @@ func chaosRun(cfg *config) error {
 		return fmt.Errorf("chaos: %d duplicate grants", len(res.Duplicates))
 	}
 
-	// Invariant: every pre-fault acknowledged grant is accounted for —
-	// still held (reclaimed across every reconnect) and releasable, or
-	// revoked by the server with the loss reported through OnGrantLost.
-	// Nothing vanishes silently. Scenarios that never let a live leader
-	// commit a dead connection's teardown releases (partition-leader cuts
-	// the leader's peers and clients in the same instant) keep the revoked
-	// count at zero.
-	if uint64(res.Held)+res.Revoked != chaosHolderGrants {
-		return fmt.Errorf("chaos: %d pre-fault grants unaccounted for: %d held + %d revoked, want %d",
-			chaosHolderGrants-res.Held-int(res.Revoked), res.Held, res.Revoked, chaosHolderGrants)
-	}
-	fmt.Printf("blcluster: chaos invariant: %d pre-fault grants accounted for: %d reclaimed and released, %d revoked\n",
-		chaosHolderGrants, res.Held, res.Revoked)
-	sess := res.Counters
-	fmt.Printf("blcluster: chaos sessions: %d reconnects, %d redirects, %d reclaimed, %d retries, %d op timeouts\n",
-		sess.Reconnects, sess.Redirects, sess.Reclaimed, sess.Retries, sess.Timeouts)
-
-	// Invariant: election disruption. Terms are read through the control
-	// plane, outside the chaos; the highest term anywhere in the cluster
-	// minus the pre-fault term counts the elections the schedule forced.
+	// Each node's term, role and last election reason, read through the
+	// control plane, outside the chaos — printed before the holder
+	// invariant, so a failed one shows who led and why the term last moved.
+	// For the election-disruption invariant below, the highest term
+	// anywhere in the cluster minus the pre-fault term counts the elections
+	// the schedule forced.
 	maxTerm := termBefore
 	floors := make([]uint64, cfg.n)
 	for i := 0; i < cfg.n; i++ {
@@ -242,6 +228,25 @@ func chaosRun(cfg *config) error {
 		}
 		floors[i] = st.CompactFloor
 	}
+
+	// Invariant: every pre-fault acknowledged grant is accounted for —
+	// still held (reclaimed across every reconnect) and releasable, or
+	// revoked by the server with the loss reported through OnGrantLost.
+	// Nothing vanishes silently. Scenarios that never let a live leader
+	// commit a dead connection's teardown releases (partition-leader cuts
+	// the leader's peers and clients in the same instant) keep the revoked
+	// count at zero.
+	if uint64(res.Held)+res.Revoked != chaosHolderGrants {
+		return fmt.Errorf("chaos: %d pre-fault grants unaccounted for: %d held + %d revoked, want %d",
+			chaosHolderGrants-res.Held-int(res.Revoked), res.Held, res.Revoked, chaosHolderGrants)
+	}
+	fmt.Printf("blcluster: chaos invariant: %d pre-fault grants accounted for: %d reclaimed and released, %d revoked\n",
+		chaosHolderGrants, res.Held, res.Revoked)
+	sess := res.Counters
+	fmt.Printf("blcluster: chaos sessions: %d reconnects, %d redirects, %d reclaimed, %d retries, %d op timeouts\n",
+		sess.Reconnects, sess.Redirects, sess.Reclaimed, sess.Retries, sess.Timeouts)
+
+	// Invariant: election disruption, from the terms read above.
 	fmt.Printf("blcluster: chaos invariant: disruptive elections: %d (term %d -> %d)\n",
 		maxTerm-termBefore, termBefore, maxTerm)
 	postLeader, ok := findLeader(cfg, alive)

@@ -443,7 +443,7 @@ func TestChaosEndToEnd(t *testing.T) {
 	select {
 	case <-done:
 		if exitErr != nil {
-			t.Fatalf("blcluster -chaos exited %v\noutput:\n%s", exitErr, out.String())
+			t.Fatalf("blcluster -chaos exited %v%s\noutput:\n%s", exitErr, chaosNodeStates(out.String()), out.String())
 		}
 	case <-time.After(120 * time.Second):
 		t.Fatalf("blcluster -chaos did not finish\noutput so far:\n%s", out.String())
@@ -457,9 +457,27 @@ func TestChaosEndToEnd(t *testing.T) {
 		"cluster shut down cleanly",
 	} {
 		if !strings.Contains(out.String(), milestone) {
-			t.Fatalf("chaos output missing %q:\n%s", milestone, out.String())
+			t.Fatalf("chaos output missing %q%s\noutput:\n%s", milestone, chaosNodeStates(out.String()), out.String())
 		}
 	}
+}
+
+// chaosNodeStates gathers, from blcluster's chaos output, which node led
+// first, the holder grants' fate and each node's term, role and last
+// election reason after the schedule — enough to tell a leader that
+// stepped down before the fault from a fault the cluster mishandled.
+func chaosNodeStates(out string) string {
+	var b strings.Builder
+	for _, line := range strings.Split(out, "\n") {
+		if strings.Contains(line, " is leader (") || strings.Contains(line, "chaos node ") ||
+			strings.Contains(line, "pre-fault grants") {
+			b.WriteString("\n  " + line)
+		}
+	}
+	if b.Len() == 0 {
+		return "\nnode states: none printed"
+	}
+	return "\nnode states:" + b.String()
 }
 
 func statsOf(addr string) (namesvc.Stats, error) {

@@ -37,8 +37,9 @@ const connReadBufSize = 64 << 10
 type svcConn struct {
 	srv      *Server
 	conn     net.Conn
-	maxQueue int         // outbound byte cap (ServerConfig.MaxConnQueue)
-	gone     atomic.Bool // mirrors dead||overflow for lock-free notify checks
+	maxQueue int           // outbound byte cap (ServerConfig.MaxConnQueue)
+	gone     atomic.Bool   // mirrors dead||overflow for lock-free notify checks
+	bursts   atomic.Uint64 // bursts ingested; counted behind a gate only (deliverLoop)
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -183,6 +184,32 @@ func (c *svcConn) commitGrants(shard int, b *grantBatch, head int32, frames []by
 	return rel
 }
 
+// commitRejects appends the pre-encoded reject frames of one shard's
+// discarded grants for this connection and retires their requests, under a
+// single connection-lock acquisition with a single cond-signal (see
+// Server.discard). A connection already being torn down gets nothing: its
+// teardown cancels what it still holds.
+func (c *svcConn) commitRejects(b *grantBatch, head int32, frames []byte) {
+	c.mu.Lock()
+	ok, tripped := c.admitLocked(len(frames))
+	if !ok {
+		c.mu.Unlock()
+		if tripped {
+			c.conn.Close() // fails the read loop, which runs teardown
+		}
+		return
+	}
+	for j := head; j >= 0; j = b.staged[j].next {
+		req := b.staged[j].req
+		c.dropOutstandingLocked(req)
+		*req = connReq{c: c}
+		c.freeReqs = append(c.freeReqs, req)
+	}
+	c.pend = append(c.pend, frames...)
+	c.wakeLocked()
+	c.mu.Unlock()
+}
+
 // dropOutstandingLocked removes an in-flight request from c.outstanding by
 // swapping the last one into its place; c.mu must be held.
 func (c *svcConn) dropOutstandingLocked(req *connReq) {
@@ -275,6 +302,10 @@ func (s *Server) handle(conn net.Conn) {
 		// frame: the preceding frames were valid, and the per-connection
 		// error discipline only condemns the connection, not its traffic.
 		s.submitBurst(c, in)
+		if s.answerWait {
+			c.bursts.Add(1)
+			s.wakeAnswerWaiters()
+		}
 		if fatal {
 			return
 		}
@@ -297,6 +328,9 @@ func (s *Server) teardown(c *svcConn) {
 	cancels := c.outstanding
 	c.outstanding = nil
 	c.mu.Unlock()
+	if s.answerWait {
+		s.wakeAnswerWaiters() // a closed connection has answered
+	}
 
 	for _, req := range cancels {
 		if req.id != 0 {

@@ -3,6 +3,8 @@ package namesvc
 import (
 	"runtime"
 	"sync"
+	"sync/atomic"
+	"time"
 
 	"ballsintoleaves/internal/wire"
 )
@@ -121,9 +123,10 @@ func (s *Server) closeStaged(shard int) (granted int, err error) {
 		d.cond.Wait()
 	}
 	grants, err := s.svc.CloseEpoch(shard)
-	if len(grants) > 0 || err != nil {
+	if len(grants) > 0 || err != nil || d.parked.Load() {
 		// An epoch that failed to log may have staged grants for the
-		// deliverer to discard.
+		// deliverer to discard; a deliverer waiting for the answers must
+		// see every epoch close, one that absorbed all its grants too.
 		d.cond.Broadcast()
 	}
 	return len(grants), err
@@ -194,6 +197,24 @@ type shardDelivery struct {
 	buf    []byte         // contiguous frames for the run being built
 	rel    []Grant        // grants to release (recipient gone mid-flight)
 	pickup sync.WaitGroup // the writer a commit woke, until it takes its batch
+
+	// Flush after the answers (servers with a commit gate and an epoch
+	// loop; see deliverLoop). answers, lastWait and deadline belong to the
+	// deliverer; parked and the counts are set under mu.
+	answers  []answerMark // connections the last delivery reached, not yet heard from
+	lastWait time.Duration
+	deadline time.Time   // the last delivery's end plus half of lastWait
+	parked   atomic.Bool // the deliverer waits for answers: bursts and closes wake it
+	timer    *time.Timer // wakes the deliverer at deadline
+	waits    uint64      // waits for answers that parked the deliverer
+	bounded  uint64      // of those, the ones the deadline ended
+}
+
+// answerMark is one connection a delivery reached, with the number of
+// bursts it had ingested before the delivery: a later burst is its answer.
+type answerMark struct {
+	c      *svcConn
+	bursts uint64
 }
 
 // deliverLoop is a shard's deliverer: take everything the epoch loop has
@@ -209,6 +230,17 @@ type shardDelivery struct {
 // the runtime's monitor retakes it, up to 10 ms on a partly idle process. A
 // writer busy in a Write to a slow reader was not woken and is never waited
 // on.
+//
+// …then wait for the answers (behind a gate): a client that was just
+// granted a name often asks again at once, and its next acquire, closed
+// into an epoch a moment after the next commit wait began, would sit out
+// that whole wait. So before it swaps pend into flight the deliverer waits
+// until every connection its last delivery reached has submitted a burst
+// since (or closed) and the shard has no runnable queued acquire, so the
+// epoch those answers feed has closed and staged. Half of the last commit
+// wait after that delivery ended, it stops waiting, so a client that never
+// answers stalls nobody for long; it never waits on a full window (the
+// epoch loop would be waiting on it) or once the server stops.
 func (s *Server) deliverLoop(shard int) {
 	defer s.wg.Done()
 	d := &s.deliver[shard]
@@ -221,10 +253,74 @@ func (s *Server) deliverLoop(shard int) {
 			d.mu.Unlock()
 			return
 		}
+		if len(d.answers) > 0 {
+			s.awaitAnswersLocked(shard)
+		}
 		d.pend, d.fly = d.fly, d.pend
 		d.cond.Broadcast() // room in the window
 		d.mu.Unlock()
 		s.deliverFly(shard)
+	}
+}
+
+// awaitAnswersLocked is deliverLoop's wait for the answers; d.mu is held,
+// and released while it waits. parked is set before the conditions are
+// read, so a burst counted after the read finds it set and wakes the
+// deliverer (wakeAnswerWaiters) once it waits.
+func (s *Server) awaitAnswersLocked(shard int) {
+	d := &s.deliver[shard]
+	d.parked.Store(true)
+	armed := false
+	for !d.stop && len(d.pend.staged) < maxStagedGrants && !s.stopping() {
+		if d.answeredLocked() && !s.svc.EpochRunnable(shard) {
+			break
+		}
+		left := time.Until(d.deadline)
+		if left <= 0 {
+			if armed {
+				d.bounded++
+			}
+			break
+		}
+		if !armed {
+			d.timer.Reset(left)
+			armed = true
+			d.waits++
+		}
+		d.cond.Wait()
+	}
+	if armed {
+		d.timer.Stop()
+	}
+	d.parked.Store(false)
+	clear(d.answers)
+	d.answers = d.answers[:0]
+}
+
+// answeredLocked drops the connections that have answered — submitted a
+// burst since the delivery, or closed — and reports whether none is left.
+func (d *shardDelivery) answeredLocked() bool {
+	kept := d.answers[:0]
+	for _, m := range d.answers {
+		if !m.c.gone.Load() && m.c.bursts.Load() == m.bursts {
+			kept = append(kept, m)
+		}
+	}
+	clear(d.answers[len(kept):])
+	d.answers = kept
+	return len(kept) == 0
+}
+
+// wakeAnswerWaiters wakes every deliverer waiting for answers: a
+// connection has just submitted a burst or closed.
+func (s *Server) wakeAnswerWaiters() {
+	for i := range s.deliver {
+		d := &s.deliver[i]
+		if d.parked.Load() {
+			d.mu.Lock()
+			d.cond.Broadcast()
+			d.mu.Unlock()
+		}
 	}
 }
 
@@ -240,6 +336,8 @@ func (s *Server) deliverLoop(shard int) {
 // that writer has taken its batch (see deliverLoop): the wakeup put it in
 // this processor's next-to-run slot, so parking here runs it. One wait after
 // the whole batch would queue every writer but the last behind the rest.
+// Behind a gate (and with an epoch loop) each connection reached is marked
+// for deliverLoop's wait for the answers.
 func (s *Server) deliverFly(shard int) {
 	d := &s.deliver[shard]
 	b := d.fly
@@ -248,22 +346,13 @@ func (s *Server) deliverFly(shard int) {
 	}
 	if g := s.cfg.Gate; g != nil {
 		// The commit rule: nothing reaches a client until the gate says the
-		// shard's records are committed; one wait covers the whole batch. On
-		// error the node was deposed with these grants in flight — discard
-		// them undelivered, with whatever later epochs staged behind them.
-		// No client ever observed any of them, so the new leader may
-		// re-grant the names; the catch-up resync that follows deposition
-		// repairs the local ledger.
+		// shard's records are committed; one wait covers the whole batch.
+		begin := time.Now()
 		if err := g.WaitCommitted(shard); err != nil {
-			d.mu.Lock()
-			n := len(b.staged) + len(d.pend.staged)
-			d.pend.reset()
-			b.reset() // under mu too, so both buffers empty at once
-			d.cond.Broadcast()
-			d.mu.Unlock()
-			s.cfg.Logf("shard %d: discarding %d staged grants: %v", shard, n, err)
+			s.discard(shard, err)
 			return
 		}
+		d.lastWait = time.Since(begin)
 	}
 	released := false
 	for i := range b.runs {
@@ -274,6 +363,10 @@ func (s *Server) deliverFly(shard int) {
 			d.w.Reset()
 			appendGrant(&d.w, sg.req.tag, sg.g)
 			d.buf = wire.AppendFrame(d.buf, d.w.Bytes())
+		}
+		if s.answerWait {
+			// Counted before the commit: no burst before it can answer it.
+			d.answers = append(d.answers, answerMark{run.conn, run.conn.bursts.Load()})
 		}
 		d.rel = run.conn.commitGrants(shard, b, run.head, d.buf, d.rel[:0])
 		d.pickup.Wait()
@@ -287,6 +380,9 @@ func (s *Server) deliverFly(shard int) {
 		}
 	}
 	b.reset()
+	if s.answerWait {
+		d.deadline = time.Now().Add(d.lastWait / 2)
+	}
 	if released {
 		// The freed capacity may be the only thing standing between queued
 		// acquires and an exhausted shard, and the drain that staged these
@@ -294,5 +390,56 @@ func (s *Server) deliverFly(shard int) {
 		// loop observes the returns (teardown does the same for held
 		// names).
 		s.kick(shard)
+	}
+}
+
+// discard answers the grants of a commit wait that failed — the fly batch
+// and whatever later epochs staged behind it — with rejects instead: the
+// node was deposed with them in flight, or the shard has failed. No client
+// ever observed any of them, so a new leader may re-grant the names; the
+// catch-up resync that follows deposition repairs the local ledger. A
+// failed shard's requests get RejectInternal carrying its failure; a
+// deposed node's get RejectNotLeader with the leader hint, so a Session
+// retries at the new leader.
+func (s *Server) discard(shard int, err error) {
+	d := &s.deliver[shard]
+	code, msg := RejectInternal, err.Error()
+	if failure := s.svc.shards[shard].refusal(); failure != nil {
+		msg = failure.Error()
+	} else {
+		_, leader := s.cfg.Gate.AdmitWrites()
+		code, msg = RejectNotLeader, leader
+	}
+	n := len(d.fly.staged)
+	s.rejectFly(shard, code, msg)
+	// Take pend as it stands into flight, and reset each buffer under mu,
+	// so a reader under the lock sees both empty once the discard is done.
+	d.mu.Lock()
+	d.fly.reset()
+	d.pend, d.fly = d.fly, d.pend
+	d.cond.Broadcast() // room in the window
+	d.mu.Unlock()
+	n += len(d.fly.staged)
+	s.rejectFly(shard, code, msg)
+	d.mu.Lock()
+	d.fly.reset()
+	d.mu.Unlock()
+	s.cfg.Logf("shard %d: discarding %d staged grants: %v", shard, n, err)
+}
+
+// rejectFly answers every request of the fly batch with one reject, a
+// connection's frames committed to its outbox under one lock.
+func (s *Server) rejectFly(shard int, code RejectCode, msg string) {
+	d := &s.deliver[shard]
+	b := d.fly
+	for i := range b.runs {
+		run := &b.runs[i]
+		d.buf = d.buf[:0]
+		for j := run.head; j >= 0; j = b.staged[j].next {
+			d.w.Reset()
+			appendReject(&d.w, b.staged[j].req.tag, code, msg)
+			d.buf = wire.AppendFrame(d.buf, d.w.Bytes())
+		}
+		run.conn.commitRejects(b, run.head, d.buf)
 	}
 }

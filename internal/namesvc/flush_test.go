@@ -373,10 +373,10 @@ func TestServerPicksItsServiceGate(t *testing.T) {
 
 // TestServerFailsClosed: a server given no Gate over a durable service —
 // group commit or per-epoch fsync — never delivers a grant its shard could
-// not log. Once shard 1's segment fsync fails, the grant it was logging
-// never arrives, later acquires and releases on shard 1 are rejected with
-// the disk's error, shard 0 keeps serving, and what a power cut leaves on
-// the disks holds every grant the client was given.
+// not log. Once shard 1's segment fsync fails, the acquire it was logging
+// and later acquires and releases on shard 1 are rejected with the disk's
+// error, shard 0 keeps serving, and what a power cut leaves on the disks
+// holds every grant the client was given.
 func TestServerFailsClosed(t *testing.T) {
 	t.Parallel()
 	for _, mode := range []FsyncMode{FsyncGroup, FsyncPerEpoch} {
@@ -416,20 +416,22 @@ func TestServerFailsClosed(t *testing.T) {
 
 			boom := errors.New("EIO")
 			spies[1].failWith.Store(&boom)
-			late := make(chan string, 1)
-			if err := c.Acquire(clientOnShard(svc, 1, 4), func(g Grant, err error) {
-				late <- fmt.Sprintf("grant %+v, err %v", g, err)
-			}); err != nil {
-				t.Fatal(err)
+			refused := func(op string, err error) {
+				t.Helper()
+				var rej *RejectError
+				if !errors.As(err, &rej) || rej.Code != RejectInternal || !strings.Contains(rej.Msg, boom.Error()) {
+					t.Fatalf("%s on failed shard 1: %v, want RejectInternal carrying %v", op, err, boom)
+				}
 			}
-			if err := c.Flush(); err != nil {
-				t.Fatal(err)
+			// The acquire whose record the failed fsync covered is answered
+			// with the failure, never with its grant.
+			g, err := acquire(1, 4)
+			if err == nil {
+				t.Fatalf("the acquire shard 1 failed to log was granted %+v", g)
 			}
-			waitFor(t, "shard 1's fsync to fail", func() bool { return svc.Stats().WALFailures == 1 })
-			select {
-			case got := <-late:
-				t.Fatalf("the acquire shard 1 failed to log was answered: %s", got)
-			case <-time.After(100 * time.Millisecond):
+			refused("the acquire being logged", err)
+			if n := svc.Stats().WALFailures; n != 1 {
+				t.Fatalf("WALFailures = %d, want 1", n)
 			}
 
 			// A follower acknowledges after SyncWAL: it must report the
@@ -438,29 +440,26 @@ func TestServerFailsClosed(t *testing.T) {
 			if err := svc.SyncWAL(); !errors.Is(err, boom) {
 				t.Fatalf("SyncWAL after shard 1 failed: %v, want %v", err, boom)
 			}
-			g, err := acquire(0, 4)
+			g, err = acquire(0, 4)
 			if err != nil {
 				t.Fatalf("shard 0 after shard 1 failed: %v", err)
 			}
 			acked = append(acked, g)
-			refused := func(op string, err error) {
-				t.Helper()
-				var rej *RejectError
-				if !errors.As(err, &rej) || rej.Code != RejectInternal || !strings.Contains(rej.Msg, boom.Error()) {
-					t.Fatalf("%s on failed shard 1: %v, want RejectInternal carrying %v", op, err, boom)
-				}
-			}
 			_, err = acquire(1, 5)
 			refused("acquire", err)
 			refused("release", c.ReleaseSync(acked[1].Name))
 
 			// Cut the power while the server runs: a clean close would
-			// release every name the connection holds. Stats takes each
-			// shard lock, ordering the image after every write.
-			svc.Stats()
+			// release every name the connection holds. Every write to a
+			// shard's sink happens under its shard lock, so copying under it
+			// orders the image after every earlier write and before the
+			// releases the connection's teardown logs later.
 			image := make([]*spySink, len(spies))
 			for i, spy := range spies {
+				sh := svc.shards[i]
+				sh.mu.Lock()
 				image[i] = &spySink{Sink: spy.Sink.(*durable.MemSink).Clone()}
+				sh.mu.Unlock()
 			}
 			reopened, _ := openSpied(t, d, image...)
 			for _, g := range acked {

@@ -167,6 +167,10 @@ type Server struct {
 	// bound is the server-wide binding authority: which connection a granted
 	// name is currently deliverable/releasable on (see bindTable).
 	bound *bindTable
+
+	// answerWait: a deliverer waits for the answers before its next commit
+	// wait (deliverLoop) — behind a gate, with epoch loops.
+	answerWait bool
 }
 
 // NewServer builds a Server and starts its goroutines: one deliverer per
@@ -196,10 +200,19 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		bound:    newBindTable(shards, cfg.Service.Capacity()),
 	}
 	s.repl, _ = cfg.Gate.(ReplGate)
+	s.answerWait = cfg.Gate != nil && workers > 0
 	for i := range s.deliver {
 		d := &s.deliver[i]
 		d.pend, d.fly = newGrantBatch(), newGrantBatch()
 		d.cond.L = &d.mu
+		if s.answerWait {
+			d.timer = time.AfterFunc(time.Hour, func() {
+				d.mu.Lock()
+				d.cond.Broadcast()
+				d.mu.Unlock()
+			})
+			d.timer.Stop()
+		}
 		if workers > 0 {
 			s.wg.Add(1)
 			go s.deliverLoop(i)

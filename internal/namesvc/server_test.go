@@ -940,6 +940,153 @@ func TestGrantWrittenBeforeNextCommitWait(t *testing.T) {
 	waitFor(t, "both grants", func() bool { return len(c.seen(t)) == 2 })
 }
 
+// heldWait is how long the answer-wait tests hold a commit wait before they
+// let it commit: the deliverer's wait for the answers is bounded by half
+// of its last commit wait, so holding the first one this long makes the
+// bound far longer than the few round trips a test makes while the
+// deliverer waits.
+const heldWait = time.Second
+
+// granted counts the grants a connection has received without sending
+// anything: a stats round trip (seen) would itself be a burst, and so an
+// answer.
+func (p *pipelineClient) granted() int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return len(p.grants)
+}
+
+// answerWaits reads a shard deliverer's count of waits for the answers and
+// of those the bound ended.
+func answerWaits(srv *Server, shard int) (waits, bounded uint64) {
+	d := &srv.deliver[shard]
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.waits, d.bounded
+}
+
+// TestAnswerWaitCoversNextBurst: behind a gate, a deliverer that has just
+// delivered a grant does not begin its next commit wait until the
+// connection it answered has sent its next burst and the epoch that burst
+// feeds has closed and staged — so that acquire shares the next commit
+// instead of sitting it out.
+func TestAnswerWaitCoversNextBurst(t *testing.T) {
+	t.Parallel()
+	svc, srv, addr, gate := startPipeline(t, Config{ShardCap: 64, Seed: 3}, ServerConfig{})
+	a, b := dialPipeline(t, addr), dialPipeline(t, addr)
+
+	a.acquire(t, 1)
+	gate.awaitEntered(t) // a's epoch 1 is in flight
+	b.acquire(t, 2)
+	waitFor(t, "b's epoch 2 to be staged behind it", func() bool { return svc.ShardEpoch(0) == 2 })
+	time.Sleep(heldWait)
+	gate.verdict <- nil // a is granted; b's epoch 2 waits for a's answer
+	waitFor(t, "a's grant", func() bool { return a.granted() == 1 })
+	a.acquire(t, 3) // the answer
+	gate.awaitEntered(t)
+	d := &srv.deliver[0]
+	d.mu.Lock()
+	inFlight, epoch := len(d.fly.staged), svc.ShardEpoch(0)
+	d.mu.Unlock()
+	if waits, bounded := answerWaits(srv, 0); waits != 1 || bounded != 0 {
+		t.Fatalf("%d waits for the answers, %d ended by the bound; want 1 and 0", waits, bounded)
+	}
+	if inFlight != 2 || epoch != 3 {
+		t.Fatalf("the next commit wait covers %d grants at epoch %d: it began before a's answer was staged", inFlight, epoch)
+	}
+	gate.verdict <- nil
+	waitFor(t, "every grant", func() bool { return a.granted() == 2 && b.granted() == 1 })
+}
+
+// TestAnswerWaitBoundedBySilentConn: a connection that is granted a name and
+// never sends again holds nobody up for long: another connection's acquire,
+// staged while the deliverer waits for the silent one's answer, is
+// committed and granted once the bound ends the wait.
+func TestAnswerWaitBoundedBySilentConn(t *testing.T) {
+	t.Parallel()
+	svc, srv, addr, gate := startPipeline(t, Config{ShardCap: 64, Seed: 3}, ServerConfig{})
+	silent, b := dialPipeline(t, addr), dialPipeline(t, addr)
+
+	silent.acquire(t, 1)
+	gate.awaitEntered(t)
+	b.acquire(t, 2)
+	waitFor(t, "b's epoch to be staged", func() bool { return svc.ShardEpoch(0) == 2 })
+	time.Sleep(heldWait)
+	gate.verdict <- nil
+	gate.awaitEntered(t) // b's commit wait, begun with silent never having answered
+	gate.verdict <- nil
+	waitFor(t, "b's grant", func() bool { return b.granted() == 1 })
+	if waits, bounded := answerWaits(srv, 0); waits != 1 || bounded != 1 {
+		t.Fatalf("%d waits for the answers, %d ended by the bound; want 1 and 1", waits, bounded)
+	}
+	if got := silent.granted(); got != 1 {
+		t.Fatalf("the silent connection has %d grants, want 1", got)
+	}
+}
+
+// TestAnswerWaitSkipsFullWindow: a deliverer never waits for the answers
+// while the staging window is full — the epoch loop is waiting on it.
+func TestAnswerWaitSkipsFullWindow(t *testing.T) {
+	t.Parallel()
+	const maxBatch = 64
+	const flood = maxStagedGrants + 2*maxBatch
+	_, srv, addr, gate := startPipeline(t,
+		Config{ShardCap: 1 << 14, Seed: 3, MaxBatch: maxBatch},
+		ServerConfig{MaxOutstanding: 1 << 14})
+	silent, b := dialPipeline(t, addr), dialPipeline(t, addr)
+
+	silent.acquire(t, 1)
+	gate.awaitEntered(t)
+	clients := make([]uint64, flood)
+	for i := range clients {
+		clients[i] = uint64(i + 2)
+	}
+	b.acquire(t, clients...)
+	d := &srv.deliver[0]
+	waitFor(t, "the window to fill", func() bool {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		return len(d.pend.staged) >= maxStagedGrants
+	})
+	time.Sleep(heldWait)
+	gate.verdict <- nil  // silent is granted and never answers
+	gate.awaitEntered(t) // the full window goes straight into flight
+	if waits, _ := answerWaits(srv, 0); waits != 0 {
+		t.Fatalf("the deliverer waited %d times for the answers with the window full", waits)
+	}
+	gate.verdict <- nil
+	gate.passUntil(t, "every grant of the flood", func() bool { return b.granted() == flood })
+}
+
+// TestAnswerWaitSkipsManualEpochs: a manual epoch close delivers its grants
+// itself and neither waits for the answers nor keeps a list of them.
+func TestAnswerWaitSkipsManualEpochs(t *testing.T) {
+	t.Parallel()
+	_, srv, addr, gate := startPipeline(t, Config{ShardCap: 64, Seed: 3}, ServerConfig{ManualEpochs: true})
+	for i, c := range []*pipelineClient{dialPipeline(t, addr), dialPipeline(t, addr)} {
+		c.acquire(t, uint64(i+1))
+		closed := make(chan error, 1)
+		go func() {
+			_, _, err := c.EpochSync(0)
+			closed <- err
+		}()
+		gate.awaitEntered(t)
+		gate.verdict <- nil
+		if err := <-closed; err != nil {
+			t.Fatal(err)
+		}
+		if got := c.granted(); got != 1 {
+			t.Fatalf("connection %d has %d grants after its manual epoch, want 1", i, got)
+		}
+	}
+	srv.manualMu[0].Lock()
+	answers := len(srv.deliver[0].answers)
+	srv.manualMu[0].Unlock()
+	if waits, _ := answerWaits(srv, 0); waits != 0 || answers != 0 {
+		t.Fatalf("manual epochs waited %d times for the answers and listed %d connections", waits, answers)
+	}
+}
+
 // TestServerBackpressureBehindGate is TestServerBackpressureOnCoalescedGrants
 // behind a gate. The deliverer waits for the writers it wakes, so it must
 // never wait on one that is busy in a Write to a reader that has stopped
