@@ -3,8 +3,12 @@ package namesvc
 import (
 	"math/rand"
 	"net"
+	"runtime"
+	"sync/atomic"
 	"testing"
+	"time"
 
+	"ballsintoleaves/internal/namesvc/durable"
 	"ballsintoleaves/internal/wire"
 )
 
@@ -208,5 +212,130 @@ func TestEpochZeroAllocsVariedBatch(t *testing.T) {
 		i++
 	}); allocs != 0 {
 		t.Errorf("wandering-batch churn allocated %v objects per cycle, want 0", allocs)
+	}
+}
+
+// slowGate is GroupGate whose every commit wait also takes a modelled
+// flush time, so that while one shard's wait runs the other shard stages
+// its next batch: it counts its waits and those that began while another
+// shard's was in flight.
+type slowGate struct {
+	CommitGate
+	inflight, waits, paired atomic.Int64
+}
+
+func (g *slowGate) WaitCommitted(shard int) error {
+	g.waits.Add(1)
+	if g.inflight.Add(1) > 1 {
+		g.paired.Add(1)
+	}
+	defer g.inflight.Add(-1)
+	time.Sleep(100 * time.Microsecond)
+	return g.CommitGate.WaitCommitted(shard)
+}
+
+// TestGatedServerModestAllocs guards the durable server's delivery path: a
+// two-shard group-commit server on MemSinks, two connections pipelining
+// acquires over both shards and releasing each grant, averages fewer than
+// one heap allocation per acquire→grant→release once warm, and fewer than
+// one per four commit waits. About half the waits begin beside the other
+// shard's, and a goroutine started per delivery costs about three
+// allocations per commit wait (measured on a mutant), so a delivery that
+// started goroutines fails here. What is left is the WAL's growth in
+// memory and its checkpoints.
+func TestGatedServerModestAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are distorted under the race detector")
+	}
+	const conns, window = 2, 8 // acquires in flight per connection
+	svc, err := Open(Config{Shards: 2, ShardCap: 1 << 12, Seed: 5, Durable: &Durability{
+		Sinks: []durable.Sink{durable.NewMemSink(), durable.NewMemSink()},
+		Fsync: FsyncGroup,
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer svc.Close()
+	gate := &slowGate{CommitGate: GroupGate(svc)}
+	srv, err := NewServer(ServerConfig{Service: svc, Gate: gate})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	defer func() {
+		ln.Close()
+		srv.Close()
+	}()
+
+	var failed atomic.Value
+	sem := make(chan struct{}, conns*window)
+	releaseCB := func(err error) {
+		if err != nil {
+			failed.Store(err)
+		}
+		<-sem
+	}
+	clients := make([]*Client, conns)
+	acquireCBs := make([]func(Grant, error), conns)
+	for i := range clients {
+		c, err := Dial(ln.Addr().String(), ClientConfig{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer c.Close()
+		clients[i] = c
+		acquireCBs[i] = func(g Grant, err error) {
+			if err != nil {
+				failed.Store(err)
+				<-sem
+				return
+			}
+			c.Release(g.Name, releaseCB)
+			c.Flush()
+		}
+	}
+	client := uint64(0)
+	run := func(ops int) {
+		for i := 0; i < ops; i++ {
+			sem <- struct{}{}
+			client++ // consecutive IDs spread over both shards
+			c := clients[i%conns]
+			if err := c.Acquire(client, acquireCBs[i%conns]); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Flush(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		for i := 0; i < cap(sem); i++ {
+			sem <- struct{}{}
+		}
+		for i := 0; i < cap(sem); i++ {
+			<-sem
+		}
+	}
+	run(2048) // warm the pools, the cohorts, the WAL buffers and the goroutine stacks
+	const ops = 1 << 14
+	var before, after runtime.MemStats
+	waits, paired := gate.waits.Load(), gate.paired.Load()
+	runtime.ReadMemStats(&before)
+	run(ops)
+	runtime.ReadMemStats(&after)
+	waits, paired = gate.waits.Load()-waits, gate.paired.Load()-paired
+	if err, _ := failed.Load().(error); err != nil {
+		t.Fatal(err)
+	}
+	mallocs := float64(after.Mallocs - before.Mallocs)
+	t.Logf("%.0f mallocs over %d ops and %d commit waits (%d begun beside another): %.3f per op, %.3f per wait",
+		mallocs, ops, waits, paired, mallocs/ops, mallocs/float64(waits))
+	if mallocs/ops >= 1 {
+		t.Errorf("gated round trip averaged %.2f allocs/op, want < 1", mallocs/ops)
+	}
+	if mallocs >= float64(waits)/4 {
+		t.Errorf("%.0f allocs over %d commit waits, want fewer than one per four waits", mallocs, waits)
 	}
 }

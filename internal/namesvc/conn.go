@@ -40,6 +40,11 @@ type svcConn struct {
 	maxQueue int           // outbound byte cap (ServerConfig.MaxConnQueue)
 	gone     atomic.Bool   // mirrors dead||overflow for lock-free notify checks
 	bursts   atomic.Uint64 // bursts ingested; counted behind a gate only (deliverLoop)
+	// Behind a gate: bursts as of the latest delivery to the connection, on
+	// any shard (a later burst answers it), and per shard the swap sequence
+	// number of the batch in flight holding grants for it, 0 for none.
+	marked atomic.Uint64
+	flying []atomic.Uint64
 
 	mu          sync.Mutex
 	cond        *sync.Cond
@@ -84,6 +89,19 @@ func (r *connReq) GrantNotify(g Grant) bool {
 
 // Enqueued implements the service's enqueueAware extension.
 func (r *connReq) Enqueued(id uint64) { r.id = id }
+
+// Refused implements the service's refuseAware extension; it runs under the
+// shard lock. The request is staged like a grant; the failed shard's
+// delivery then rejects it with the rest of its batch, carrying the failure
+// (Server.discard). A connection already gone gets nothing: its teardown
+// has taken its requests.
+func (r *connReq) Refused(shard int) {
+	if !r.c.gone.Load() {
+		b := r.c.srv.deliver[shard].pend
+		b.stage(r, Grant{Shard: shard})
+		b.refused = true
+	}
+}
 
 // admitLocked reports whether n more outbound bytes may join the outbox;
 // c.mu must be held. False with tripped set means this call exceeded the
@@ -229,8 +247,31 @@ func (s *Server) newConn(conn net.Conn) *svcConn {
 		maxQueue: s.cfg.MaxConnQueue,
 		names:    make([]uint32, s.svc.Shards()),
 	}
+	if s.answerWait {
+		c.flying = make([]atomic.Uint64, s.svc.Shards())
+	}
 	c.cond = sync.NewCond(&c.mu)
 	return c
+}
+
+// markDelivered records that a delivery is about to reach the connection:
+// its next burst answers it. Shards deliver concurrently, so the mark only
+// rises.
+func (c *svcConn) markDelivered() {
+	b := c.bursts.Load()
+	for m := c.marked.Load(); m < b && !c.marked.CompareAndSwap(m, b); m = c.marked.Load() {
+	}
+}
+
+// flyingBefore reports whether a shard other than this one has a batch for
+// the connection in flight that it took under swap sequence seq or earlier.
+func (c *svcConn) flyingBefore(shard int, seq uint64) bool {
+	for t := range c.flying {
+		if q := c.flying[t].Load(); t != shard && q != 0 && q <= seq {
+			return true
+		}
+	}
+	return false
 }
 
 // handle runs one connection: handshake, then the batched ingestion loop —

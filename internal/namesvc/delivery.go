@@ -124,9 +124,9 @@ func (s *Server) closeStaged(shard int) (granted int, err error) {
 	}
 	grants, err := s.svc.CloseEpoch(shard)
 	if len(grants) > 0 || err != nil || d.parked.Load() {
-		// An epoch that failed to log may have staged grants for the
-		// deliverer to discard; a deliverer waiting for the answers must
-		// see every epoch close, one that absorbed all its grants too.
+		// A failed shard may have staged refused requests or grants for
+		// the deliverer to discard; a deliverer waiting for the answers
+		// must see every epoch close, one that absorbed all its grants too.
 		d.cond.Broadcast()
 	}
 	return len(grants), err
@@ -149,9 +149,10 @@ type grantRun struct {
 // grantBatch is a set of accepted grants awaiting delivery, in epoch order,
 // chained per destination connection. Everything is reused batch to batch.
 type grantBatch struct {
-	staged []stagedGrant
-	runs   []grantRun
-	byConn map[*svcConn]int32 // conn -> index into runs
+	staged  []stagedGrant
+	runs    []grantRun
+	byConn  map[*svcConn]int32 // conn -> index into runs
+	refused bool               // holds requests a failed shard refused (connReq.Refused)
 }
 
 func newGrantBatch() *grantBatch {
@@ -175,6 +176,7 @@ func (b *grantBatch) reset() {
 	b.staged = b.staged[:0]
 	b.runs = b.runs[:0]
 	clear(b.byConn)
+	b.refused = false
 }
 
 // shardDelivery is one shard's delivery stage: a double buffer of grant
@@ -199,22 +201,16 @@ type shardDelivery struct {
 	pickup sync.WaitGroup // the writer a commit woke, until it takes its batch
 
 	// Flush after the answers (servers with a commit gate and an epoch
-	// loop; see deliverLoop). answers, lastWait and deadline belong to the
-	// deliverer; parked and the counts are set under mu.
-	answers  []answerMark // connections the last delivery reached, not yet heard from
+	// loop; see deliverLoop). answers, lastWait, deadline and since belong
+	// to the deliverer; parked and the counts are set under mu.
+	answers  []*svcConn // connections the last delivery reached, not yet heard from
 	lastWait time.Duration
 	deadline time.Time   // the last delivery's end plus half of lastWait
+	since    uint64      // Server.swaps when the last delivery ended
 	parked   atomic.Bool // the deliverer waits for answers: bursts and closes wake it
 	timer    *time.Timer // wakes the deliverer at deadline
 	waits    uint64      // waits for answers that parked the deliverer
 	bounded  uint64      // of those, the ones the deadline ended
-}
-
-// answerMark is one connection a delivery reached, with the number of
-// bursts it had ingested before the delivery: a later burst is its answer.
-type answerMark struct {
-	c      *svcConn
-	bursts uint64
 }
 
 // deliverLoop is a shard's deliverer: take everything the epoch loop has
@@ -241,6 +237,14 @@ type answerMark struct {
 // wait after that delivery ended, it stops waiting, so a client that never
 // answers stalls nobody for long; it never waits on a full window (the
 // epoch loop would be waiting on it) or once the server stops.
+//
+// …from every shard the connection waits on: a connection whose bursts feed
+// several shards has answered a delivery only once every batch for it that
+// another shard took into flight before that delivery ended has landed, and
+// it has answered that too; the bound runs from the landing. So the shards
+// such connections share swap after the same answers and start their
+// flushes together, while a shard whose connections no other shard serves
+// keeps its own pace.
 func (s *Server) deliverLoop(shard int) {
 	defer s.wg.Done()
 	d := &s.deliver[shard]
@@ -259,7 +263,19 @@ func (s *Server) deliverLoop(shard int) {
 		d.pend, d.fly = d.fly, d.pend
 		d.cond.Broadcast() // room in the window
 		d.mu.Unlock()
+		if s.answerWait {
+			s.markFlying(shard, d.fly, s.swaps.Add(1))
+		}
 		s.deliverFly(shard)
+	}
+}
+
+// markFlying records, on each connection the batch holds grants for, the
+// swap sequence number under which the shard took it into flight; 0 marks
+// it landed.
+func (s *Server) markFlying(shard int, b *grantBatch, seq uint64) {
+	for i := range b.runs {
+		b.runs[i].conn.flying[shard].Store(seq)
 	}
 }
 
@@ -272,8 +288,15 @@ func (s *Server) awaitAnswersLocked(shard int) {
 	d.parked.Store(true)
 	armed := false
 	for !d.stop && len(d.pend.staged) < maxStagedGrants && !s.stopping() {
-		if d.answeredLocked() && !s.svc.EpochRunnable(shard) {
+		done, landing := d.answeredLocked(shard)
+		if done && !s.svc.EpochRunnable(shard) {
 			break
+		}
+		if landing {
+			// Another shard's batch is still on its way to a connection
+			// this delivery reached: the bound runs from its landing, so
+			// shards out of step fall back into it.
+			d.deadline = time.Now().Add(d.lastWait / 2)
 		}
 		left := time.Until(d.deadline)
 		if left <= 0 {
@@ -283,10 +306,10 @@ func (s *Server) awaitAnswersLocked(shard int) {
 			break
 		}
 		if !armed {
-			d.timer.Reset(left)
 			armed = true
 			d.waits++
 		}
+		d.timer.Reset(left)
 		d.cond.Wait()
 	}
 	if armed {
@@ -298,17 +321,26 @@ func (s *Server) awaitAnswersLocked(shard int) {
 }
 
 // answeredLocked drops the connections that have answered — submitted a
-// burst since the delivery, or closed — and reports whether none is left.
-func (d *shardDelivery) answeredLocked() bool {
+// burst since the latest delivery that reached them on any shard, with no
+// batch for them that another shard took into flight before this shard's
+// delivery ended still on its way — or closed. It reports whether none is
+// left, and whether one is left waiting for such a batch.
+func (d *shardDelivery) answeredLocked(shard int) (done, landing bool) {
 	kept := d.answers[:0]
-	for _, m := range d.answers {
-		if !m.c.gone.Load() && m.c.bursts.Load() == m.bursts {
-			kept = append(kept, m)
+	for _, c := range d.answers {
+		if c.gone.Load() {
+			continue
 		}
+		if c.flyingBefore(shard, d.since) {
+			landing = true
+		} else if c.bursts.Load() != c.marked.Load() {
+			continue
+		}
+		kept = append(kept, c)
 	}
 	clear(d.answers[len(kept):])
 	d.answers = kept
-	return len(kept) == 0
+	return len(kept) == 0, landing
 }
 
 // wakeAnswerWaiters wakes every deliverer waiting for answers: a
@@ -337,7 +369,8 @@ func (s *Server) wakeAnswerWaiters() {
 // this processor's next-to-run slot, so parking here runs it. One wait after
 // the whole batch would queue every writer but the last behind the rest.
 // Behind a gate (and with an epoch loop) each connection reached is marked
-// for deliverLoop's wait for the answers.
+// for the wait for the answers (deliverLoop), on this shard and on any other
+// whose last delivery reached it.
 func (s *Server) deliverFly(shard int) {
 	d := &s.deliver[shard]
 	b := d.fly
@@ -347,8 +380,22 @@ func (s *Server) deliverFly(shard int) {
 	if g := s.cfg.Gate; g != nil {
 		// The commit rule: nothing reaches a client until the gate says the
 		// shard's records are committed; one wait covers the whole batch.
+		// A batch holding requests the shard refused was swapped in after
+		// the shard failed, so a gate that consults SyncShard (both
+		// built-in ones do) fails it; any other gate's nil cannot cover
+		// them, as they have no record, and the batch is discarded all
+		// the same. A shard that fails later is not checked here: the
+		// grants this wait covered did commit.
 		begin := time.Now()
-		if err := g.WaitCommitted(shard); err != nil {
+		err := g.WaitCommitted(shard)
+		if err == nil && b.refused {
+			err = s.svc.shards[shard].refusal()
+		}
+		if err != nil {
+			if s.answerWait {
+				s.markFlying(shard, b, 0)
+				s.wakeAnswerWaiters()
+			}
 			s.discard(shard, err)
 			return
 		}
@@ -365,10 +412,14 @@ func (s *Server) deliverFly(shard int) {
 			d.buf = wire.AppendFrame(d.buf, d.w.Bytes())
 		}
 		if s.answerWait {
-			// Counted before the commit: no burst before it can answer it.
-			d.answers = append(d.answers, answerMark{run.conn, run.conn.bursts.Load()})
+			// Marked before the commit: no burst before it can answer it.
+			run.conn.markDelivered()
+			d.answers = append(d.answers, run.conn)
 		}
 		d.rel = run.conn.commitGrants(shard, b, run.head, d.buf, d.rel[:0])
+		if s.answerWait {
+			run.conn.flying[shard].Store(0)
+		}
 		d.pickup.Wait()
 		for _, g := range d.rel {
 			if err := s.svc.Release(g.Client, g.Name); err != nil {
@@ -382,6 +433,8 @@ func (s *Server) deliverFly(shard int) {
 	b.reset()
 	if s.answerWait {
 		d.deadline = time.Now().Add(d.lastWait / 2)
+		d.since = s.swaps.Load()
+		s.wakeAnswerWaiters() // a deliverer may be waiting for this batch to land
 	}
 	if released {
 		// The freed capacity may be the only thing standing between queued
@@ -398,13 +451,15 @@ func (s *Server) deliverFly(shard int) {
 // node was deposed with them in flight, or the shard has failed. No client
 // ever observed any of them, so a new leader may re-grant the names; the
 // catch-up resync that follows deposition repairs the local ledger. A
-// failed shard's requests get RejectInternal carrying its failure; a
-// deposed node's get RejectNotLeader with the leader hint, so a Session
-// retries at the new leader.
+// failed shard's requests get RejectInternal carrying its failure, and the
+// shard is kicked so its epoch loop refuses, and so answers, whatever is
+// still queued on it; a deposed node's get RejectNotLeader with the leader
+// hint, so a Session retries at the new leader.
 func (s *Server) discard(shard int, err error) {
 	d := &s.deliver[shard]
 	code, msg := RejectInternal, err.Error()
-	if failure := s.svc.shards[shard].refusal(); failure != nil {
+	failure := s.svc.shards[shard].refusal()
+	if failure != nil {
 		msg = failure.Error()
 	} else {
 		_, leader := s.cfg.Gate.AdmitWrites()
@@ -425,6 +480,9 @@ func (s *Server) discard(shard int, err error) {
 	d.fly.reset()
 	d.mu.Unlock()
 	s.cfg.Logf("shard %d: discarding %d staged grants: %v", shard, n, err)
+	if failure != nil {
+		s.kick(shard)
+	}
 }
 
 // rejectFly answers every request of the fly batch with one reject, a

@@ -559,7 +559,9 @@ func (s *Service) SyncWAL() error {
 // call is durable — at once when a flush has already covered them (always,
 // under FsyncPerEpoch), after the flush in flight when that one captured
 // them, otherwise after one more. Delivery gates wait on it per shard, so a
-// shard's grants never wait for another shard's disk. A failed shard
+// shard's grants never wait for another shard's disk; a server may hold a
+// shard's next flush, for at most half of its last commit wait, until a
+// connection it shares with another shard has heard from both. A failed shard
 // returns its sticky failure (see the failure policy above).
 func (s *Service) SyncShard(shardIdx int) error {
 	if shardIdx < 0 || shardIdx >= len(s.shards) {

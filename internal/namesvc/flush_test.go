@@ -477,3 +477,159 @@ func TestServerFailsClosed(t *testing.T) {
 		})
 	}
 }
+
+// TestServerAnswersQueueOfFailedShard: an acquire still queued on shard 1
+// when its disk fails — no free name was left for it — is answered with
+// RejectInternal carrying the disk's error, and never granted. Under group
+// commit the failure is the flush a commit wait holds on the disk; under
+// per-epoch fsync it is a release's, which frees the name the queued
+// acquire would have taken.
+func TestServerAnswersQueueOfFailedShard(t *testing.T) {
+	t.Parallel()
+	for _, mode := range []FsyncMode{FsyncGroup, FsyncPerEpoch} {
+		t.Run(mode.String(), func(t *testing.T) {
+			t.Parallel()
+			svc, spies := openSpied(t, Durability{Fsync: mode})
+			spy := spies[1]
+			c, err := Dial(startServerOn(t, svc), ClientConfig{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer c.Close()
+			answered := func(n int) chan error {
+				done := make(chan error, 1)
+				if err := c.Acquire(clientOnShard(svc, 1, n), func(_ Grant, err error) { done <- err }); err != nil {
+					t.Fatal(err)
+				}
+				if err := c.Flush(); err != nil {
+					t.Fatal(err)
+				}
+				return done
+			}
+			boom := errors.New("EIO")
+			refused := func(what string, done chan error) {
+				t.Helper()
+				select {
+				case err := <-done:
+					var rej *RejectError
+					if !errors.As(err, &rej) || rej.Code != RejectInternal || !strings.Contains(rej.Msg, boom.Error()) {
+						t.Fatalf("%s: %v, want RejectInternal carrying %v", what, err, boom)
+					}
+				case <-time.After(10 * time.Second):
+					t.Fatalf("%s: no answer", what)
+				}
+			}
+
+			// Every name of shard 1 but the last is granted.
+			const names = 64 // openSpied's ShardCap
+			var held []Grant
+			for n := 1; n < names; n++ {
+				g, err := c.AcquireSync(clientOnShard(svc, 1, n))
+				if err != nil {
+					t.Fatal(err)
+				}
+				held = append(held, g)
+			}
+			var last chan error
+			if mode == FsyncGroup {
+				// The last name's commit wait holds its flush on the disk.
+				spy.parked = make(chan struct{})
+				spy.resume = make(chan struct{})
+				last = answered(names)
+				<-spy.parked
+			} else if _, err := c.AcquireSync(clientOnShard(svc, 1, names)); err != nil {
+				t.Fatal(err)
+			}
+			queued := answered(names + 1)
+			waitFor(t, "the acquire to queue on the exhausted shard", func() bool { return svc.Pending(1) == 1 })
+
+			spy.failWith.Store(&boom)
+			if mode == FsyncGroup {
+				spy.resume <- struct{}{}
+				refused("the acquire whose flush failed", last)
+			} else {
+				// The release's record fails to sync; shard 1 refuses from
+				// here on, and the name it freed is never granted.
+				c.ReleaseSync(held[0].Name)
+			}
+			refused("the acquire queued when shard 1 failed", queued)
+			if n := svc.Stats().WALFailures; n != 1 {
+				t.Fatalf("WALFailures = %d, want 1", n)
+			}
+			if n := svc.Pending(1); n != 0 {
+				t.Fatalf("%d acquires still queued on failed shard 1", n)
+			}
+		})
+	}
+}
+
+// TestCommitVerdictOutlivesLaterFailure: the gate's verdict on a batch is
+// final. A grant whose commit wait returns nil is delivered although its
+// shard fails while that wait is under way; a batch the shard refused — it
+// was swapped in after the failure — is rejected with the failure although
+// a gate that never consults SyncShard returns nil for it too.
+func TestCommitVerdictOutlivesLaterFailure(t *testing.T) {
+	t.Parallel()
+	svc, spies := openSpied(t, Durability{Fsync: FsyncGroup})
+	gate := newStepGate()
+	srv, err := NewServer(ServerConfig{Service: svc, Gate: gate, ManualEpochs: true, Logf: t.Logf})
+	if err != nil {
+		t.Fatal(err)
+	}
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go srv.Serve(ln)
+	t.Cleanup(func() {
+		close(gate.done)
+		ln.Close()
+		srv.Close()
+	})
+	// A manual epoch op holds its connection's read loop through the commit
+	// wait, so the queued acquire comes on a second connection.
+	c, q := dialPipeline(t, ln.Addr().String()), dialPipeline(t, ln.Addr().String())
+	epoch := func() chan error {
+		closed := make(chan error, 1)
+		go func() {
+			_, _, err := c.EpochSync(1)
+			closed <- err
+		}()
+		return closed
+	}
+
+	c.acquire(t, clientOnShard(svc, 1, 1))
+	first := epoch()
+	gate.awaitEntered(t)
+	q.acquire(t, clientOnShard(svc, 1, 2)) // queues behind the epoch in flight
+	waitFor(t, "the second acquire to queue", func() bool { return svc.Pending(1) == 1 })
+	boom := errors.New("EIO")
+	spies[1].failWith.Store(&boom)
+	if err := svc.SyncWAL(); !errors.Is(err, boom) {
+		t.Fatalf("SyncWAL: %v, want %v", err, boom)
+	}
+	gate.verdict <- nil
+	if err := <-first; err != nil {
+		t.Fatalf("the epoch whose commit wait returned nil: %v", err)
+	}
+	if got := c.granted(); got != 1 || len(c.errs) != 0 {
+		t.Fatalf("%d grants and errors %v after the commit wait returned nil, want the grant", got, c.errs)
+	}
+
+	second := epoch()
+	gate.awaitEntered(t) // the refused request's batch
+	gate.verdict <- nil
+	<-second
+	waitFor(t, "the queued acquire's answer", func() bool {
+		q.mu.Lock()
+		defer q.mu.Unlock()
+		return len(q.errs)+len(q.grants) > 0
+	})
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	var rej *RejectError
+	if len(q.grants) != 0 || len(q.errs) != 1 || !errors.As(q.errs[0], &rej) ||
+		rej.Code != RejectInternal || !strings.Contains(rej.Msg, boom.Error()) {
+		t.Fatalf("queued acquire on the failed shard: grants %+v, errors %v; want RejectInternal carrying %v", q.grants, q.errs, boom)
+	}
+}

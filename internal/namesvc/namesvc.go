@@ -154,6 +154,15 @@ type enqueueAware interface {
 	Enqueued(id uint64)
 }
 
+// refuseAware is the optional GrantNotifier extension for batch submitters
+// that answer their own requests: Refused is invoked under the shard lock
+// when a failed shard drops the request from its queue, so the owner can
+// answer it with the failure. Like GrantNotify it must be fast, must not
+// block, and must not call back into the Service.
+type refuseAware interface {
+	Refused(shard int)
+}
+
 // request is one queued acquire.
 type request struct {
 	id        uint64
@@ -547,9 +556,10 @@ func (s *Service) EpochRunnable(shardIdx int) bool {
 // that were accepted (see Acquire's notify contract); grants whose recipient
 // vanished are absorbed as crashes. With nothing to do — no queued requests,
 // or no free names — it returns nil without advancing the epoch. A failed
-// shard refuses to run one and drops its queue; an epoch whose record
-// fails to log returns no grants, only the error, and a commit gate
-// discards what it notified.
+// shard refuses to run one and drops its queue, free names or none, calling
+// Refused on each dropped request's notifier that has it (refuseAware); an
+// epoch whose record fails to log returns no grants, only the error, and a
+// commit gate discards what it notified.
 //
 // The returned slice is the shard's reusable grant buffer: it is valid
 // until the next CloseEpoch on the same shard, and callers that retain
@@ -584,16 +594,25 @@ func (s *Service) CloseEpoch(shardIdx int) ([]Grant, error) {
 		kept = append(kept, r)
 	}
 	sh.pending = kept
-	limit := min(s.cfg.MaxBatch, sh.led.freeCount(), len(sh.pending))
-	if limit == 0 {
+	if len(sh.pending) == 0 {
 		return nil, nil
 	}
 	if err := sh.refusal(); err != nil {
-		// Nothing queued here can be granted any more: drop it all, so the
-		// next drain finds no work instead of this error.
+		// Nothing queued here can be granted any more, even once names
+		// free up: drop it all, telling each requester that asked to be
+		// told, so the next drain finds no work instead of this error.
+		for _, r := range sh.pending {
+			if ra, ok := r.sink.(refuseAware); ok {
+				ra.Refused(shardIdx)
+			}
+		}
 		sh.queued = 0
 		sh.recycleHusksLocked()
 		return nil, err
+	}
+	limit := min(s.cfg.MaxBatch, sh.led.freeCount(), len(sh.pending))
+	if limit == 0 {
+		return nil, nil
 	}
 	batch := sh.pending[:limit]
 

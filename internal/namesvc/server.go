@@ -6,6 +6,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 )
 
@@ -29,7 +30,10 @@ type CommitGate interface {
 	// Grant delivery for the shard waits on it; an error means the records
 	// can no longer commit (the node was deposed mid-epoch) and the staged
 	// grants are discarded undelivered — never observable by any client,
-	// so a new leader re-granting those names is safe.
+	// so a new leader re-granting those names is safe. Each shard's
+	// deliverer calls it, so different shards' waits overlap, and never
+	// twice at once for one shard. Once the shard has failed it must
+	// return an error (SyncShard's sticky failure).
 	WaitCommitted(shard int) error
 }
 
@@ -65,8 +69,10 @@ func (g groupGate) WaitCommitted(shard int) error { return g.svc.SyncShard(shard
 // service uses (NewServer picks it when ServerConfig.Gate is nil): a
 // shard's grants are delivered only after a flush covers their records,
 // every epoch closed during one flush sharing the next, and different
-// shards' flushes overlapping. Under FsyncPerEpoch every append has synced,
-// so the wait returns at once. Exported for callers that decorate it.
+// shards' flushes overlapping; shards that serve the same connections start
+// theirs together (the server's wait for the answers). Under FsyncPerEpoch
+// every append has synced, so the wait returns at once. Exported for
+// callers that decorate it.
 func GroupGate(svc *Service) CommitGate { return groupGate{svc} }
 
 // ServerConfig parameterizes a Server.
@@ -171,6 +177,7 @@ type Server struct {
 	// answerWait: a deliverer waits for the answers before its next commit
 	// wait (deliverLoop) — behind a gate, with epoch loops.
 	answerWait bool
+	swaps      atomic.Uint64 // batches the deliverers took into flight, behind a gate
 }
 
 // NewServer builds a Server and starts its goroutines: one deliverer per

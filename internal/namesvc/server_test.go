@@ -521,15 +521,19 @@ func TestServerHandshakeDeadlineShedsStalledConns(t *testing.T) {
 // ends. It also checks the pipeline's promise to gates: per shard, never
 // two WaitCommitted calls in flight.
 type stepGate struct {
-	entered  chan int   // shard of each WaitCommitted, as it begins
-	verdict  chan error // one receive ends one wait
+	entered  chan int      // shard of each WaitCommitted, as it begins
+	verdict  chan error    // one receive ends one wait
+	release  [2]chan error // one receive ends one wait on that shard
 	done     chan struct{}
 	inflight [2]atomic.Int32
 	overlap  atomic.Bool
 }
 
 func newStepGate() *stepGate {
-	return &stepGate{entered: make(chan int), verdict: make(chan error), done: make(chan struct{})}
+	return &stepGate{
+		entered: make(chan int), verdict: make(chan error), done: make(chan struct{}),
+		release: [2]chan error{make(chan error), make(chan error)},
+	}
 }
 
 func (g *stepGate) AdmitWrites() (bool, string) { return true, "" }
@@ -547,18 +551,22 @@ func (g *stepGate) WaitCommitted(shard int) error {
 	select {
 	case err := <-g.verdict:
 		return err
+	case err := <-g.release[shard]:
+		return err
 	case <-g.done:
 		return nil
 	}
 }
 
-// awaitEntered blocks until a WaitCommitted begins.
-func (g *stepGate) awaitEntered(t *testing.T) {
+// awaitEntered blocks until a WaitCommitted begins and returns its shard.
+func (g *stepGate) awaitEntered(t *testing.T) int {
 	t.Helper()
 	select {
-	case <-g.entered:
+	case shard := <-g.entered:
+		return shard
 	case <-time.After(10 * time.Second):
 		t.Fatal("no WaitCommitted began")
+		return -1
 	}
 }
 
@@ -956,13 +964,17 @@ func (p *pipelineClient) granted() int {
 	return len(p.grants)
 }
 
-// answerWaits reads a shard deliverer's count of waits for the answers and
-// of those the bound ended.
-func answerWaits(srv *Server, shard int) (waits, bounded uint64) {
-	d := &srv.deliver[shard]
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.waits, d.bounded
+// answerWaits sums the deliverers' counts of waits for the answers and of
+// those the bound ended, over every shard.
+func answerWaits(srv *Server) (waits, bounded uint64) {
+	for i := range srv.deliver {
+		d := &srv.deliver[i]
+		d.mu.Lock()
+		waits += d.waits
+		bounded += d.bounded
+		d.mu.Unlock()
+	}
+	return waits, bounded
 }
 
 // TestAnswerWaitCoversNextBurst: behind a gate, a deliverer that has just
@@ -988,7 +1000,7 @@ func TestAnswerWaitCoversNextBurst(t *testing.T) {
 	d.mu.Lock()
 	inFlight, epoch := len(d.fly.staged), svc.ShardEpoch(0)
 	d.mu.Unlock()
-	if waits, bounded := answerWaits(srv, 0); waits != 1 || bounded != 0 {
+	if waits, bounded := answerWaits(srv); waits != 1 || bounded != 0 {
 		t.Fatalf("%d waits for the answers, %d ended by the bound; want 1 and 0", waits, bounded)
 	}
 	if inFlight != 2 || epoch != 3 {
@@ -1016,7 +1028,7 @@ func TestAnswerWaitBoundedBySilentConn(t *testing.T) {
 	gate.awaitEntered(t) // b's commit wait, begun with silent never having answered
 	gate.verdict <- nil
 	waitFor(t, "b's grant", func() bool { return b.granted() == 1 })
-	if waits, bounded := answerWaits(srv, 0); waits != 1 || bounded != 1 {
+	if waits, bounded := answerWaits(srv); waits != 1 || bounded != 1 {
 		t.Fatalf("%d waits for the answers, %d ended by the bound; want 1 and 1", waits, bounded)
 	}
 	if got := silent.granted(); got != 1 {
@@ -1051,7 +1063,7 @@ func TestAnswerWaitSkipsFullWindow(t *testing.T) {
 	time.Sleep(heldWait)
 	gate.verdict <- nil  // silent is granted and never answers
 	gate.awaitEntered(t) // the full window goes straight into flight
-	if waits, _ := answerWaits(srv, 0); waits != 0 {
+	if waits, _ := answerWaits(srv); waits != 0 {
 		t.Fatalf("the deliverer waited %d times for the answers with the window full", waits)
 	}
 	gate.verdict <- nil
@@ -1082,9 +1094,149 @@ func TestAnswerWaitSkipsManualEpochs(t *testing.T) {
 	srv.manualMu[0].Lock()
 	answers := len(srv.deliver[0].answers)
 	srv.manualMu[0].Unlock()
-	if waits, _ := answerWaits(srv, 0); waits != 0 || answers != 0 {
+	if waits, _ := answerWaits(srv); waits != 0 || answers != 0 {
 		t.Fatalf("manual epochs waited %d times for the answers and listed %d connections", waits, answers)
 	}
+}
+
+// twoShardPipeline serves a two-shard volatile service behind a stepGate,
+// each shard with its own deliverer.
+func twoShardPipeline(t *testing.T) (*Service, *Server, string, *stepGate) {
+	t.Helper()
+	return startPipeline(t, Config{Shards: 2, ShardCap: 64, Seed: 3}, ServerConfig{})
+}
+
+// awaitBothEntered receives two WaitCommitted begins, before either is let
+// go, and requires one on each shard.
+func (g *stepGate) awaitBothEntered(t *testing.T) {
+	t.Helper()
+	if a, b := g.awaitEntered(t), g.awaitEntered(t); a == b {
+		t.Fatalf("two commit waits began on shard %d, none on the other", a)
+	}
+}
+
+// flying returns how many grants each shard's batch in flight holds. It is
+// read while both commit waits are held in the gate, so the deliverers are
+// not touching their batches.
+func flying(srv *Server) [2]int {
+	return [2]int{len(srv.deliver[0].fly.staged), len(srv.deliver[1].fly.staged)}
+}
+
+// TestAnswerWaitStartsBothShardsOfABurst: behind a gate, a connection's
+// burst with acquires for both shards — its answer to a grant — starts both
+// shards' commit waits before either returns.
+func TestAnswerWaitStartsBothShardsOfABurst(t *testing.T) {
+	t.Parallel()
+	svc, srv, addr, gate := twoShardPipeline(t)
+	c := dialPipeline(t, addr)
+
+	c.acquire(t, clientOnShard(svc, 0, 1))
+	gate.awaitEntered(t)
+	time.Sleep(heldWait)
+	gate.verdict <- nil
+	waitFor(t, "the first grant", func() bool { return c.granted() == 1 })
+	c.acquire(t, clientOnShard(svc, 0, 2), clientOnShard(svc, 1, 1)) // one burst, both shards
+	gate.awaitBothEntered(t)
+	if got := flying(srv); got != [2]int{1, 1} {
+		t.Fatalf("%v grants in flight, want one per shard", got)
+	}
+	gate.verdict <- nil
+	gate.verdict <- nil
+	waitFor(t, "every grant", func() bool { return c.granted() == 3 })
+}
+
+// TestAnswerWaitSpansShardsOfAConnection: a connection with grants in
+// flight on both shards has answered a shard's delivery only once the other
+// shard's batch, taken into flight before that delivery ended, has reached
+// it too and it has answered that as well. Until then the shard that
+// delivered first starts no commit wait, though the connection's answer to
+// it has staged; then both shards start theirs together.
+func TestAnswerWaitSpansShardsOfAConnection(t *testing.T) {
+	t.Parallel()
+	svc, srv, addr, gate := twoShardPipeline(t)
+	c := dialPipeline(t, addr)
+
+	c.acquire(t, clientOnShard(svc, 0, 1), clientOnShard(svc, 1, 1))
+	gate.awaitBothEntered(t)
+	time.Sleep(heldWait)
+	gate.release[0] <- nil
+	waitFor(t, "shard 0's grant", func() bool { return c.granted() == 1 })
+	c.acquire(t, clientOnShard(svc, 0, 2)) // the answer to shard 0
+	waitFor(t, "the answer's epoch to be staged", func() bool { return svc.ShardEpoch(0) == 2 })
+	c.seen(t) // a round trip: every goroutine the server has readied has run
+	if n := gate.inflight[0].Load(); n != 0 {
+		t.Fatal("shard 0 began a commit wait while the connection's batch on shard 1 was in flight")
+	}
+	gate.release[1] <- nil
+	waitFor(t, "shard 1's grant", func() bool { return c.granted() == 2 })
+	c.acquire(t, clientOnShard(svc, 1, 2)) // the answer to shard 1
+	gate.awaitBothEntered(t)
+	if got := flying(srv); got != [2]int{1, 1} {
+		t.Fatalf("%v grants in flight, want both answers, one per shard", got)
+	}
+	if _, bounded := answerWaits(srv); bounded != 0 {
+		t.Fatalf("the bound ended %d waits for the answers", bounded)
+	}
+	gate.verdict <- nil
+	gate.verdict <- nil
+	waitFor(t, "every grant", func() bool { return c.granted() == 4 })
+}
+
+// TestAnswerWaitLeavesSeparateShardsApart: shards whose connections no
+// other shard serves keep their own pace. With one connection on each
+// shard, shard 1 delivers, hears its connection answer and starts its next
+// commit wait while shard 0's first is still held.
+func TestAnswerWaitLeavesSeparateShardsApart(t *testing.T) {
+	t.Parallel()
+	svc, _, addr, gate := twoShardPipeline(t)
+	a, b := dialPipeline(t, addr), dialPipeline(t, addr)
+
+	a.acquire(t, clientOnShard(svc, 0, 1))
+	b.acquire(t, clientOnShard(svc, 1, 1))
+	gate.awaitBothEntered(t)
+	time.Sleep(heldWait)
+	gate.release[1] <- nil
+	waitFor(t, "b's grant", func() bool { return b.granted() == 1 })
+	b.acquire(t, clientOnShard(svc, 1, 2))
+	if shard := gate.awaitEntered(t); shard != 1 {
+		t.Fatalf("the next commit wait is on shard %d, want 1", shard)
+	}
+	if a.granted() != 0 {
+		t.Fatal("a was granted while shard 0's commit wait was held")
+	}
+	gate.verdict <- nil
+	gate.verdict <- nil
+	waitFor(t, "every grant", func() bool { return a.granted() == 1 && b.granted() == 2 })
+}
+
+// TestAnswerWaitStagesAnswerOnOtherShard: a connection granted a name by
+// shard 0 answers with an acquire that routes to shard 1, while another
+// connection's grant waits on shard 0: shard 0's next commit wait begins
+// only once the answer has arrived, and shard 1 takes the answer into
+// flight while it is held.
+func TestAnswerWaitStagesAnswerOnOtherShard(t *testing.T) {
+	t.Parallel()
+	svc, srv, addr, gate := twoShardPipeline(t)
+	a, b := dialPipeline(t, addr), dialPipeline(t, addr)
+
+	a.acquire(t, clientOnShard(svc, 0, 1))
+	gate.awaitEntered(t)
+	b.acquire(t, clientOnShard(svc, 0, 2))
+	waitFor(t, "b's epoch to be staged behind a's", func() bool { return svc.ShardEpoch(0) == 2 })
+	time.Sleep(heldWait)
+	gate.verdict <- nil // a is granted; b's grant waits for a's answer
+	waitFor(t, "a's grant", func() bool { return a.granted() == 1 })
+	a.acquire(t, clientOnShard(svc, 1, 1)) // the answer, on the other shard
+	gate.awaitBothEntered(t)
+	if got := flying(srv); got != [2]int{1, 1} {
+		t.Fatalf("%v grants in flight, want b's on shard 0 and a's answer on shard 1", got)
+	}
+	if waits, bounded := answerWaits(srv); waits != 1 || bounded != 0 {
+		t.Fatalf("%d waits for the answers, %d ended by the bound; want 1 and 0", waits, bounded)
+	}
+	gate.verdict <- nil
+	gate.verdict <- nil
+	waitFor(t, "every grant", func() bool { return a.granted() == 2 && b.granted() == 1 })
 }
 
 // TestServerBackpressureBehindGate is TestServerBackpressureOnCoalescedGrants
