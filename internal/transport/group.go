@@ -14,9 +14,9 @@ import (
 // for each member (it is called from the spawning goroutine, concurrently
 // safe construction is the caller's concern only if mk shares state).
 //
-// It is the one-shot group primitive used by the name service's distributed
-// epoch runner and by examples: a caller that wants per-process results or
-// a TCP substrate drives Run per endpoint instead.
+// It is the one-shot group primitive the trace and name-service
+// determinism tests drive: a caller that wants per-process results or a
+// TCP substrate drives Run per endpoint instead.
 func RunAll(members []proto.ID, cfg NetConfig, mk func(id proto.ID) (Process, error), maxRounds int) (Summary, error) {
 	lb, err := NewLoopback(members, cfg)
 	if err != nil {

@@ -5,11 +5,12 @@ import (
 	"sync"
 
 	"ballsintoleaves/internal/proto"
+	"ballsintoleaves/internal/sim"
 )
 
 // Loopback is the in-process Transport implementation: a hub that
-// synchronizes lock-step rounds between goroutines with the exact
-// delivery, crash and accounting semantics of the simulation engines. It
+// synchronizes lock-step rounds between goroutines and closes each one
+// with sim.Rounds, the simulation engines' own round rule. It
 // is the substrate for tests, examples and benchmarks that want a real
 // Transport without sockets, and the reference against which the TCP
 // implementation is easiest to reason about.
@@ -21,7 +22,7 @@ import (
 type Loopback struct {
 	mu   sync.Mutex
 	cond *sync.Cond
-	fab  *fabric
+	nw   *network
 
 	round   int // round currently being collected
 	sent    []bool
@@ -36,13 +37,13 @@ type Loopback struct {
 // NewLoopback builds a hub for the given members (distinct, non-zero IDs;
 // order irrelevant) under the given network configuration.
 func NewLoopback(members []proto.ID, cfg NetConfig) (*Loopback, error) {
-	fab, err := newFabric(members, cfg)
+	nw, err := newNetwork(members, cfg)
 	if err != nil {
 		return nil, err
 	}
-	n := len(fab.members)
+	n := len(members)
 	l := &Loopback{
-		fab:        fab,
+		nw:         nw,
 		round:      1,
 		sent:       make([]bool, n),
 		pending:    make([][]byte, n),
@@ -59,7 +60,7 @@ func NewLoopback(members []proto.ID, cfg NetConfig) (*Loopback, error) {
 func (l *Loopback) Endpoint(id proto.ID) (Transport, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	idx, ok := l.fab.index[id]
+	idx, ok := l.nw.Index(id)
 	if !ok {
 		return nil, fmt.Errorf("transport: %v is not a member of this loopback", id)
 	}
@@ -75,7 +76,7 @@ func (l *Loopback) Endpoint(id proto.ID) (Transport, error) {
 func (l *Loopback) Summary() Summary {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	return l.fab.summary()
+	return l.nw.summary()
 }
 
 // broadcast registers one member's payload for the round and closes the
@@ -83,10 +84,10 @@ func (l *Loopback) Summary() Summary {
 func (l *Loopback) broadcast(idx, round int, payload []byte) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if l.fab.status[idx] == memberCrashed {
+	if l.nw.Status(idx) == sim.Crashed {
 		return fmt.Errorf("broadcast round %d: %w", round, ErrCrashed)
 	}
-	if l.fab.status[idx] == memberHalted {
+	if l.nw.Status(idx) == sim.Halted {
 		return fmt.Errorf("transport: broadcast after halt")
 	}
 	if round != l.round {
@@ -110,7 +111,7 @@ func (l *Loopback) broadcast(idx, round int, payload []byte) error {
 func (l *Loopback) collect(idx, round int) (Round, error) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	for l.inboxRound[idx] < round && l.fab.status[idx] != memberCrashed {
+	for l.inboxRound[idx] < round && l.nw.Status(idx) != sim.Crashed {
 		l.cond.Wait()
 	}
 	if l.inboxRound[idx] < round {
@@ -127,17 +128,19 @@ func (l *Loopback) collect(idx, round int) (Round, error) {
 func (l *Loopback) halt(idx int, h Halt) error {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	l.fab.halt(idx, h)
+	l.nw.halt(idx, h)
 	l.maybeCloseRound()
 	return nil
 }
 
 // maybeCloseRound closes the collecting round once every live member has
-// broadcast. Callers hold l.mu.
+// broadcast, copying each survivor's messages into its inbox and waking
+// every member parked in collect, victims included, so they learn of their
+// death. Callers hold l.mu.
 func (l *Loopback) maybeCloseRound() {
 	live := 0
-	for i, st := range l.fab.status {
-		if st != memberLive {
+	for i := range l.sent {
+		if l.nw.Status(i) != sim.Live {
 			continue
 		}
 		if !l.sent[i] {
@@ -148,14 +151,13 @@ func (l *Loopback) maybeCloseRound() {
 	if live == 0 {
 		return
 	}
-	deliveries, crashedNow := l.fab.step(l.round, l.pending)
-	for i := range l.fab.members {
-		switch l.fab.status[i] {
-		case memberLive:
-			l.inbox[i] = Round{Msgs: deliveries[i], Crashed: crashedNow}
-			l.inboxRound[i] = l.round
-		case memberCrashed:
-			// Wake any victim parked in collect so it learns of its death.
+	crashedNow := l.nw.Step(l.round, l.pending, func(i int, msgs []proto.Message) {
+		l.inbox[i] = Round{Msgs: append([]proto.Message(nil), msgs...)}
+		l.inboxRound[i] = l.round
+	})
+	for i := range l.sent {
+		if l.inboxRound[i] == l.round {
+			l.inbox[i].Crashed = crashedNow
 		}
 		l.sent[i] = false
 		l.pending[i] = nil

@@ -9,7 +9,7 @@ import (
 	"ballsintoleaves/internal/wire"
 )
 
-// The lock-step fabric above models the paper's synchronous rounds. The
+// Loopback and Serve run the paper's synchronous lock-step rounds. The
 // replication layer (internal/namesvc/repl) needs something different: a
 // long-lived, FIFO, length-prefixed message stream between two named
 // coordinator processes, with no round structure and no coordinator in

@@ -9,6 +9,7 @@ import (
 	"time"
 
 	"ballsintoleaves/internal/proto"
+	"ballsintoleaves/internal/sim"
 	"ballsintoleaves/internal/wire"
 )
 
@@ -104,80 +105,88 @@ func Serve(ln net.Listener, cfg CoordinatorConfig) (Summary, error) {
 	for id := range members {
 		ids = append(ids, id)
 	}
-	fab, err := newFabric(ids, cfg.Net)
+	nw, err := newNetwork(ids, cfg.Net)
 	if err != nil {
 		return Summary{}, err
 	}
-	ordered := make([]*tcpMember, len(fab.members))
-	for i, id := range fab.members {
+	ordered := make([]*tcpMember, len(ids))
+	for i, id := range nw.Members() {
 		ordered[i] = members[id]
 	}
 
 	// Distribute the run configuration; a client we cannot reach is dead
-	// before round 1 and will be crashed by the nil payload below.
+	// before round 1 and will be crashed for its missing payload below.
 	var w wire.Writer
 	for i, m := range ordered {
 		w.Reset()
 		appendConfig(&w, cfg.Run)
 		if err := writeFrame(m, w.Bytes(), cfg.IOTimeout); err != nil {
-			cfg.Logf("member %v unreachable at config: %v", fab.members[i], err)
+			cfg.Logf("member %v unreachable at config: %v", nw.Members()[i], err)
 			kill(m)
 		}
 	}
 
 	payloads := make([][]byte, len(ordered))
-	for round := 1; fab.active(); round++ {
+	for round := 1; nw.Active(); round++ {
 		if round > cfg.MaxRounds {
-			return fab.summary(), fmt.Errorf("transport: exceeded %d rounds without quiescing", cfg.MaxRounds)
+			return nw.summary(), fmt.Errorf("transport: exceeded %d rounds without quiescing", cfg.MaxRounds)
 		}
 
 		// Collect half: one data frame (or a halt) from every live member.
 		for i, m := range ordered {
 			payloads[i] = nil
-			if fab.status[i] != memberLive || m.dead {
+			if nw.Status(i) != sim.Live || m.dead {
 				continue
 			}
 			payload, halt, err := readRoundFrame(m, round, cfg.IOTimeout)
 			switch {
 			case err != nil:
-				cfg.Logf("round %d: member %v: %v (treating as crash)", round, fab.members[i], err)
+				cfg.Logf("round %d: member %v: %v (treating as crash)", round, nw.Members()[i], err)
 				kill(m)
 			case halt != nil:
-				cfg.Logf("round %d: member %v halted after round %d", round, fab.members[i], halt.Round)
-				fab.halt(i, *halt)
+				cfg.Logf("round %d: member %v halted after round %d", round, nw.Members()[i], halt.Round)
+				nw.halt(i, *halt)
 				kill(m)
 			default:
 				payloads[i] = payload
 			}
 		}
-		if !fab.active() {
+		if !nw.Active() {
 			break
 		}
 
-		deliveries, crashedNow := fab.step(round, payloads)
+		// The network's own rule: a live member whose payload never
+		// arrived is crashed before the adversary plans, with no final
+		// message.
+		mark := len(nw.Crashed())
+		for i := range ordered {
+			if nw.Status(i) == sim.Live && payloads[i] == nil {
+				nw.Crash(i)
+			}
+		}
+
+		// Deliver half: relay the round to every surviving member, then
+		// cut the connections of this round's victims.
+		crashedNow := nw.Step(round, payloads, func(i int, msgs []proto.Message) {
+			m := ordered[i]
+			w.Reset()
+			appendRound(&w, round, Round{Msgs: msgs, Crashed: nw.Crashed()[mark:]})
+			if err := writeFrame(m, w.Bytes(), cfg.IOTimeout); err != nil {
+				cfg.Logf("round %d: member %v write failed: %v", round, nw.Members()[i], err)
+				kill(m)
+			}
+		})
 		for _, id := range crashedNow {
 			cfg.Logf("round %d: member %v crashed", round, id)
 		}
-
-		// Deliver half: relay the round to every surviving member and cut
-		// the connections of this round's victims.
 		for i, m := range ordered {
-			if fab.status[i] == memberCrashed && !m.dead {
-				kill(m)
-			}
-			if fab.status[i] != memberLive || m.dead {
-				continue
-			}
-			w.Reset()
-			appendRound(&w, round, Round{Msgs: deliveries[i], Crashed: crashedNow})
-			if err := writeFrame(m, w.Bytes(), cfg.IOTimeout); err != nil {
-				cfg.Logf("round %d: member %v write failed: %v", round, fab.members[i], err)
+			if nw.Status(i) == sim.Crashed && !m.dead {
 				kill(m)
 			}
 		}
 	}
 
-	sum := fab.summary()
+	sum := nw.summary()
 	if err := proto.Validate(sum.Decisions, cfg.Run.N); err != nil {
 		return sum, err
 	}

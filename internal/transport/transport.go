@@ -1,11 +1,13 @@
 // Package transport puts the synchronous message-passing model on a real
 // network: it defines the lock-step round contract a process-facing
 // transport must provide (broadcast a payload, collect the round, learn of
-// crashes) and supplies two implementations that both reproduce
-// internal/sim exactly — an in-process loopback for tests, examples and
-// benchmarks, and a length-prefixed TCP transport in which n OS processes
-// on real sockets execute the protocol end to end through a coordinator
-// (cmd/blserve).
+// crashes) and supplies two implementations — an in-process loopback for
+// tests, examples and benchmarks, and a length-prefixed TCP transport in
+// which n OS processes on real sockets execute the protocol end to end
+// through a coordinator (cmd/blserve). Both close every round with
+// sim.Rounds, the reference engine's own round rule, so what this package
+// adds is only the network around it: goroutine lock-step or sockets, and
+// the one crash rule a network has of its own.
 //
 // # The round contract
 //
@@ -16,10 +18,10 @@
 // crashed; a process that crashes during its broadcast may deliver that
 // final payload to an arbitrary subset of recipients (over TCP that subset
 // arises from a dropped connection or from scripted fault injection at the
-// coordinator). Both implementations funnel their per-round crash choices
-// through adversary.Strategy, so a schedule scripted here replays
-// identically on internal/sim — the equivalence the integration tests
-// assert.
+// coordinator). Both implementations plan their per-round crashes with an
+// adversary.Strategy stepped by sim.Rounds, so a schedule scripted here
+// replays identically on internal/sim; the equivalence tests check the
+// lock-step and the sockets that carry it.
 //
 // # Driving a process
 //
