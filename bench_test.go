@@ -36,14 +36,21 @@ func runAblation(n int, seed uint64, uniformCoin, labelPriority bool) (int, erro
 	return res.Rounds, nil
 }
 
-// benchRename runs Rename b.N times (varying the seed) and reports the
+// benchSeeds is the seed set every seeded benchmark cycles through: run i
+// uses seed i mod benchSeeds. Seeding run i with i would make the inputs
+// depend on b.N, so two runs that calibrate to different b.N would time
+// different seeds (rounds vary by seed). With -benchtime a multiple of
+// benchSeeds (e.g. -benchtime 32x) every seed weighs the same.
+const benchSeeds = 16
+
+// benchRename runs Rename b.N times (cycling the seed set) and reports the
 // mean rounds as a custom metric.
 func benchRename(b *testing.B, n int, opts func(seed uint64) []bil.Option) {
 	b.Helper()
 	totalRounds := 0
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		res, err := bil.Rename(n, opts(uint64(i))...)
+		res, err := bil.Rename(n, opts(uint64(i%benchSeeds))...)
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -134,7 +141,7 @@ func BenchmarkE5ContentionDecay(b *testing.B) {
 	const n = 1 << 16
 	var bmax1, calmPhase float64
 	for i := 0; i < b.N; i++ {
-		res, err := bil.Rename(n, bil.WithSeed(uint64(i)), bil.WithPhaseMetrics())
+		res, err := bil.Rename(n, bil.WithSeed(uint64(i%benchSeeds)), bil.WithPhaseMetrics())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -156,7 +163,7 @@ func BenchmarkE6PathDrain(b *testing.B) {
 	const n = 1 << 16
 	var p1, p3 float64
 	for i := 0; i < b.N; i++ {
-		res, err := bil.Rename(n, bil.WithSeed(uint64(i)), bil.WithPhaseMetrics())
+		res, err := bil.Rename(n, bil.WithSeed(uint64(i%benchSeeds)), bil.WithPhaseMetrics())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -175,7 +182,7 @@ func BenchmarkE7Dispersion(b *testing.B) {
 	const n = 1 << 14
 	var frac float64
 	for i := 0; i < b.N; i++ {
-		res, err := bil.Rename(n, bil.WithSeed(uint64(i)), bil.WithPhaseMetrics())
+		res, err := bil.Rename(n, bil.WithSeed(uint64(i%benchSeeds)), bil.WithPhaseMetrics())
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -190,7 +197,7 @@ func BenchmarkE8SlowBurn(b *testing.B) {
 	const n = 1 << 10
 	var phases float64
 	for i := 0; i < b.N; i++ {
-		res, err := bil.Rename(n, bil.WithSeed(uint64(i)), bil.WithCrashes(bil.OnePerPhaseCrashes()))
+		res, err := bil.Rename(n, bil.WithSeed(uint64(i%benchSeeds)), bil.WithCrashes(bil.OnePerPhaseCrashes()))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -208,7 +215,7 @@ func BenchmarkE9LoadBalancers(b *testing.B) {
 	b.Run("relaxed-oneshot-d2", func(b *testing.B) {
 		var maxload float64
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.RunRelaxedOneShot(n, 2, uint64(i))
+			res, err := baseline.RunRelaxedOneShot(n, 2, uint64(i%benchSeeds))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -219,7 +226,7 @@ func BenchmarkE9LoadBalancers(b *testing.B) {
 	b.Run("sequential-d2", func(b *testing.B) {
 		var maxload float64
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.RunSequentialDChoice(n, 2, uint64(i))
+			res, err := baseline.RunSequentialDChoice(n, 2, uint64(i%benchSeeds))
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -230,7 +237,7 @@ func BenchmarkE9LoadBalancers(b *testing.B) {
 	b.Run("parallel-d2", func(b *testing.B) {
 		var rounds float64
 		for i := 0; i < b.N; i++ {
-			res, err := baseline.RunParallelChoice(n, 2, uint64(i), 0)
+			res, err := baseline.RunParallelChoice(n, 2, uint64(i%benchSeeds), 0)
 			if err != nil {
 				b.Fatal(err)
 			}
@@ -245,7 +252,7 @@ func BenchmarkE10Traffic(b *testing.B) {
 	const n = 1 << 12
 	var bits float64
 	for i := 0; i < b.N; i++ {
-		res, err := bil.Rename(n, bil.WithSeed(uint64(i)))
+		res, err := bil.Rename(n, bil.WithSeed(uint64(i%benchSeeds)))
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -261,7 +268,7 @@ func BenchmarkE11Splitter(b *testing.B) {
 	var displaced float64
 	for i := 0; i < b.N; i++ {
 		res, err := bil.Rename(n,
-			bil.WithSeed(uint64(i)),
+			bil.WithSeed(uint64(i%benchSeeds)),
 			bil.WithAlgorithm(bil.EarlyTerminating),
 			bil.WithCrashes(bil.SplitterCrash(1)),
 			bil.WithPhaseMetrics())
@@ -291,7 +298,7 @@ func BenchmarkE12Ablations(b *testing.B) {
 		b.Run(tc.name, func(b *testing.B) {
 			totalRounds := 0
 			for i := 0; i < b.N; i++ {
-				res, err := runAblation(n, uint64(i), tc.uniformCoin, tc.labelPriority)
+				res, err := runAblation(n, uint64(i%benchSeeds), tc.uniformCoin, tc.labelPriority)
 				if err != nil {
 					b.Fatal(err)
 				}
@@ -360,7 +367,7 @@ func BenchmarkNaiveFast(b *testing.B) {
 	labels := ids.Random(n, 3)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, err := baseline.RunNaiveFast(n, uint64(i), labels); err != nil {
+		if _, _, _, err := baseline.RunNaiveFast(n, uint64(i%benchSeeds), labels); err != nil {
 			b.Fatal(err)
 		}
 	}

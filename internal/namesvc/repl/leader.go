@@ -3,6 +3,7 @@ package repl
 import (
 	"fmt"
 	"slices"
+	"sync"
 	"time"
 
 	"ballsintoleaves/internal/transport"
@@ -44,10 +45,21 @@ type leaderState struct {
 
 // followerLink is one live leader→follower stream. sentIdx advances as
 // the sender drains the queue; notify (capacity 1) wakes it.
+//
+// Wake, then wait: parked is set while the sender waits on notify with
+// nothing to send. A commit wait that finds it parked behind the wait's
+// target joins pickups and wakes it, and flushes only once the sender has
+// taken its batch (see Node.WaitCommitted): a deliverer going straight
+// into a blocking fsync would keep the processor the sender was readied
+// on. The sender leaves every pickup it holds when it next collects
+// under Node.mu, before any write, and on every exit. parked, pickups and
+// sentIdx are guarded by Node.mu; a sender never waits on a deliverer.
 type followerLink struct {
 	peer    *transport.Peer
 	sentIdx uint64
 	notify  chan struct{}
+	parked  bool
+	pickups []*sync.WaitGroup // commit waits that woke the parked sender
 }
 
 func (lk *followerLink) wake() {
@@ -55,6 +67,17 @@ func (lk *followerLink) wake() {
 	case lk.notify <- struct{}{}:
 	default:
 	}
+}
+
+// takeLocked marks the sender as running and releases every commit wait
+// that woke it. Node.mu must be held.
+func (lk *followerLink) takeLocked() {
+	lk.parked = false
+	for _, pickup := range lk.pickups {
+		pickup.Done()
+	}
+	clear(lk.pickups)
+	lk.pickups = lk.pickups[:0]
 }
 
 // recordHook observes every sealed WAL record the service produces. It
@@ -233,18 +256,30 @@ func (n *Node) attachFollower(l *leaderState, peerID int) error {
 // streamRecords is the sender half of one stream session: drain the
 // queue from the link's cursor, heartbeat when idle, and bail out when
 // the link's cursor falls off the bounded queue (the next attach
-// resyncs from a snapshot).
+// resyncs from a snapshot). The sender parks — sets lk.parked and waits
+// on notify — only in the same critical section that found nothing to
+// send and no heartbeat due, so a parked sender is never in a write and
+// a commit wait never waits on a slow follower. Each pass takes the link
+// (takeLocked) as it collects, and the deferred take covers every exit —
+// a send error, the lag error, fencing, n.stop — so the link is deleted
+// holding no commit wait, and none can join it after (it is not parked).
 func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *transport.Peer) error {
 	type outRecord struct {
 		idx     uint64
 		shard   int
 		payload []byte
 	}
+	defer func() {
+		n.mu.Lock()
+		lk.takeLocked()
+		n.mu.Unlock()
+	}()
 	var batch []outRecord
 	var w wire.Writer // frame-body scratch for the session; Send copies
 	lastSend := time.Now()
 	for {
 		n.mu.Lock()
+		lk.takeLocked()
 		if l.fenced {
 			n.mu.Unlock()
 			return errDeposed
@@ -262,18 +297,13 @@ func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *transport.Peer
 		if len(batch) > 0 {
 			lk.sentIdx = batch[len(batch)-1].idx
 		}
+		heartbeat := len(batch) == 0 && time.Since(lastSend) >= n.hbInterval
+		park := len(batch) == 0 && !heartbeat
+		lk.parked = park
 		term, commit := l.term, l.commit
 		n.mu.Unlock()
 
-		if len(batch) == 0 {
-			if time.Since(lastSend) >= n.hbInterval {
-				w.Reset()
-				appendHeartbeat(&w, term, commit)
-				if err := p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout)); err != nil {
-					return err
-				}
-				lastSend = time.Now()
-			}
+		if park {
 			select {
 			case <-lk.notify:
 			case <-time.After(n.hbInterval):
@@ -282,6 +312,15 @@ func (n *Node) streamRecords(l *leaderState, lk *followerLink, p *transport.Peer
 			case <-n.stop:
 				return errDeposed
 			}
+			continue
+		}
+		if heartbeat {
+			w.Reset()
+			appendHeartbeat(&w, term, commit)
+			if err := p.SendNow(w.Bytes(), time.Now().Add(replIOTimeout)); err != nil {
+				return err
+			}
+			lastSend = time.Now()
 			continue
 		}
 		for _, rec := range batch {

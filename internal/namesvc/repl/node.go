@@ -323,6 +323,14 @@ func (n *Node) AdmitWrites() (bool, string) {
 // "committed" always means a quorum of durable copies including this one.
 // An error means the node was deposed with the records uncommitted, or the
 // shard's own copy failed (the failure policy in namesvc's durability.go).
+//
+// Wake, then wait: before its own flush, the wait wakes every follower
+// sender that is parked short of target and waits until each has taken
+// its records (followerLink). The flush may be a blocking fsync that keeps
+// this goroutine's processor, and a sender readied on it, until the
+// runtime retakes the processor; the follower's copy then starts a flush
+// late. A sender busy in a write is not parked and is never waited on,
+// and every exit of a sender releases the waits it holds.
 func (n *Node) WaitCommitted(shard int) error {
 	n.mu.Lock()
 	l := n.ldr
@@ -331,7 +339,21 @@ func (n *Node) WaitCommitted(shard int) error {
 		return errDeposed
 	}
 	target := l.lastIdxByShard[shard]
+	var pickup *sync.WaitGroup
+	for _, lk := range l.links {
+		if lk.parked && lk.sentIdx < target {
+			if pickup == nil {
+				pickup = new(sync.WaitGroup)
+			}
+			pickup.Add(1)
+			lk.pickups = append(lk.pickups, pickup)
+			lk.wake()
+		}
+	}
 	n.mu.Unlock()
+	if pickup != nil {
+		pickup.Wait()
+	}
 	// A record takes its index under the shard lock, after its append, so
 	// a flush that starts now covers every record up to target.
 	if err := n.svc.SyncShard(shard); err != nil {
